@@ -3,11 +3,13 @@
      vmht compile FILE            front end + optimizer, dump IR
      vmht synth FILE [...]        full HLS + wrapper synthesis, dump report/RTL
      vmht run NAME [...]          run a benchmark workload on the simulated SoC
-     vmht bench NAME|all|...      regenerate evaluation tables/figures
+     vmht bench NAME|GROUP|all    regenerate evaluation tables/figures
      vmht serve [...]             batch synthesis server over JSON lines
      vmht loadgen [...]           drive a request mix through the server
      vmht profile NAME            run an experiment under the phase profiler
      vmht perf diff OLD NEW       compare two bench manifests (regression gate)
+     vmht perf snapshot [...]     time every experiment, write the bench manifest
+     vmht perf micro [NAME...]    Bechamel micro-benchmarks
      vmht list                    available workloads and experiments
 
    Exit codes: 0 success; 1 runtime failure (unknown name, wrong
@@ -38,6 +40,39 @@ let with_program file f =
   | Ok program ->
     f program;
     0
+
+(* Every file the CLI writes is one JSON document; a write failure is
+   reported with what was being written and turns into exit 3. *)
+let write_json what path doc =
+  match Vmht_obs.Json.write_file path doc with
+  | Ok () -> true
+  | Error msg ->
+    Printf.eprintf "cannot write %s: %s\n" what msg;
+    false
+
+(* The one positivity check, shared by the [pos_int] converter (sizes,
+   job counts) and the serve protocol's request parser. *)
+let positive n =
+  if n >= 1 then Ok n
+  else Error (Printf.sprintf "expected a positive integer, got %d" n)
+
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n -> Result.map_error (fun msg -> `Msg msg) (positive n)
+    | None ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+(* [-j/--jobs] for the commands whose pool defaults to the machine's
+   recommended domain count. *)
+let pool_jobs_arg doc =
+  Arg.(value & opt (some pos_int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let set_pool_jobs jobs =
+  Vmht_par.Parmap.set_jobs
+    (Option.value jobs ~default:(Domain.recommended_domain_count ()))
 
 (* Optimizer selection, shared by every command that synthesizes:
    [--opt-level N] picks a preset schedule, [--passes a,b,c] overrides
@@ -205,19 +240,9 @@ let synth_cmd =
 
 (* ------------------------- run ------------------------------------ *)
 
-let write_chrome_trace ?process_name ?pid path events =
-  match Vmht_obs.Chrome_trace.write_file ?process_name ?pid path events with
-  | () -> true
-  | exception Sys_error msg ->
-    Printf.eprintf "cannot write trace: %s\n" msg;
-    false
-
 let write_spans path =
-  match Vmht_obs.Span.write_chrome_file path (Vmht_obs.Span.spans ()) with
-  | () -> true
-  | exception Sys_error msg ->
-    Printf.eprintf "cannot write spans: %s\n" msg;
-    false
+  write_json "spans" path
+    (Vmht_obs.Chrome_trace.of_spans (Vmht_obs.Span.spans ()))
 
 let mode_conv =
   Arg.enum
@@ -237,7 +262,7 @@ let run_cmd =
       & opt mode_conv Vmht_eval.Common.Vm
       & info [ "mode" ] ~doc:"Execution style: sw, vm or dma.")
   in
-  let size = Arg.(value & opt (some int) None & info [ "size" ]) in
+  let size = Arg.(value & opt (some pos_int) None & info [ "size" ]) in
   let tlb = Arg.(value & opt (some int) None & info [ "tlb" ]) in
   let tlb2 =
     Arg.(
@@ -359,10 +384,10 @@ let run_cmd =
       let trace_ok =
         match trace_out with
         | Some path ->
-          write_chrome_trace
-            ~pid:(Vmht.Soc.id o.Vmht_eval.Common.soc)
-            path
-            (Vmht_sim.Trace.events (Vmht.Soc.trace o.Vmht_eval.Common.soc))
+          write_json "trace" path
+            (Vmht_obs.Chrome_trace.to_json
+               ~pid:(Vmht.Soc.id o.Vmht_eval.Common.soc)
+               (Vmht_sim.Trace.events (Vmht.Soc.trace o.Vmht_eval.Common.soc)))
         | None -> true
       in
       let spans_ok =
@@ -374,25 +399,16 @@ let run_cmd =
             ~mode:(Vmht_eval.Common.mode_name mode)
             ~size r
         in
-        Vmht_obs.Json.to_string_pretty (Vmht.Report.to_json report)
+        Vmht.Report.to_json report
       in
       let metrics_ok =
         match metrics_json with
-        | Some path when path <> "-" -> (
-          try
-            let oc = open_out path in
-            output_string oc (report_json ());
-            output_char oc '\n';
-            close_out oc;
-            true
-          with Sys_error msg ->
-            Printf.eprintf "cannot write metrics: %s\n" msg;
-            false)
+        | Some path when path <> "-" -> write_json "metrics" path (report_json ())
         | Some _ | None -> true
       in
       if metrics_json = Some "-" then
         (* Machine-readable mode: the report JSON is the only stdout. *)
-        print_endline (report_json ())
+        print_endline (Vmht_obs.Json.to_string_pretty (report_json ()))
       else begin
         Printf.printf "%s / %s / size %d: %s cycles (%s)\n" wname
           (Vmht_eval.Common.mode_name mode)
@@ -473,7 +489,7 @@ let trace_cmd =
       & opt mode_conv Vmht_eval.Common.Vm
       & info [ "mode" ] ~doc:"Execution style: sw, vm or dma.")
   in
-  let size = Arg.(value & opt (some int) None & info [ "size" ]) in
+  let size = Arg.(value & opt (some pos_int) None & info [ "size" ]) in
   let component =
     Arg.(
       value
@@ -569,7 +585,8 @@ let trace_cmd =
       let write_ok = ref true in
       (match out with
        | Some path ->
-         if write_chrome_trace path events then
+         if write_json "trace" path (Vmht_obs.Chrome_trace.to_json events)
+         then
            Printf.printf "%d events written to %s\n" (List.length events)
              path
          else write_ok := false
@@ -653,19 +670,24 @@ let system_cmd =
 
 (* ------------------------- bench ---------------------------------- *)
 
+let groups =
+  Vmht_eval.Experiment.
+    [
+      ("tables", Table);
+      ("figures", Figure);
+      ("ablations", Ablation);
+      ("sweeps", Sweep);
+    ]
+
 let bench_cmd =
   let names =
     Arg.(value & pos_all string [ "all" ] & info [] ~docv:"EXPERIMENT")
   in
   let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Domain-pool width for experiment sweeps (default: the \
-             machine's recommended domain count; 1 = sequential).  \
-             Output is byte-identical at any width.")
+    pool_jobs_arg
+      "Domain-pool width for experiment sweeps (default: the machine's \
+       recommended domain count; 1 = sequential).  Output is \
+       byte-identical at any width."
   in
   let fault_rate =
     Arg.(
@@ -708,10 +730,7 @@ let bench_cmd =
   in
   let action jobs fault_rate seed metrics_json spans_out no_fastpath opt_level
       passes names =
-    Vmht_par.Parmap.set_jobs
-      (match jobs with
-       | Some n -> n
-       | None -> Domain.recommended_domain_count ());
+    set_pool_jobs jobs;
     Vmht_eval.Common.reset_mismatches ();
     Vmht_eval.Common.reset_run_stats ();
     if Option.is_some spans_out then Vmht_obs.Span.enable true;
@@ -733,18 +752,25 @@ let bench_cmd =
     Vmht_ir.Pass_manager.reset_totals ();
     Vmht_vm.Vm_totals.reset ();
     let ran = ref [] in
+    let run_experiment (e : Vmht_eval.Experiment.t) =
+      let out = Vmht_eval.Experiment.run ~config e in
+      print_string (out ^ "\n");
+      ran := (e.Vmht_eval.Experiment.name, String.length out) :: !ran
+    in
     let run_one = function
       | "all" ->
-        let out = Vmht_eval.All_experiments.run_all ~config () in
+        let out = Vmht_eval.Experiment.run_all ~config () in
         print_string out;
         ran := ("all", String.length out) :: !ran;
+        0
+      | name when List.mem_assoc name groups ->
+        List.iter run_experiment
+          (Vmht_eval.Experiment.by_kind (List.assoc name groups));
         0
       | name -> (
         match Vmht_eval.Experiment.find name with
         | Some e ->
-          let out = Vmht_eval.Experiment.run ~config e in
-          print_string (out ^ "\n");
-          ran := (name, String.length out) :: !ran;
+          run_experiment e;
           0
         | None ->
           Printf.eprintf "unknown experiment '%s'\n" name;
@@ -844,21 +870,16 @@ let bench_cmd =
             ("exit_code", Json.Int code);
           ]
       in
-      try
-        let oc = open_out path in
-        output_string oc (Json.to_string_pretty doc);
-        output_char oc '\n';
-        close_out oc;
-        code
-      with Sys_error msg ->
-        Printf.eprintf "cannot write manifest: %s\n" msg;
-        max code exit_write_failed)
+      if write_json "manifest" path doc then code
+      else max code exit_write_failed)
   in
   let man =
     `S Manpage.s_description
     :: `P
-         "Run the named experiments — or $(b,all) — and print their \
-          rendered tables and figures.  Experiments (from the registry):"
+         "Run the named experiments — or a group ($(b,tables), \
+          $(b,figures), $(b,ablations), $(b,sweeps)), or $(b,all) — and \
+          print their rendered tables and figures.  Experiments (from the \
+          registry):"
     :: List.map
          (fun (e : Vmht_eval.Experiment.t) ->
            `P
@@ -908,7 +929,7 @@ let shards_arg =
 
 let serve_jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt pos_int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Domain-pool width for the in-process substrate (ignored when \
@@ -978,18 +999,8 @@ let loadgen_cmd =
       let metrics_ok =
         match metrics_json with
         | None -> true
-        | Some path -> (
-          try
-            let oc = open_out path in
-            output_string oc
-              (Vmht_obs.Json.to_string_pretty
-                 report.Vmht_eval.Loadgen.manifest);
-            output_char oc '\n';
-            close_out oc;
-            true
-          with Sys_error msg ->
-            Printf.eprintf "cannot write manifest: %s\n" msg;
-            false)
+        | Some path ->
+          write_json "manifest" path report.Vmht_eval.Loadgen.manifest
       in
       let hit_rate_ok =
         match require_hit_rate with
@@ -1093,11 +1104,15 @@ let serve_line_to_job line =
               (Option.bind (str "mode") Vmht_serve.Proto.mode_of_name)
               ~default:Vmht_serve.Proto.Vm
           in
-          let size =
-            Option.value (int "size")
-              ~default:w.Vmht_workloads.Workload.default_size
-          in
-          Ok (Vmht_serve.Proto.Execute { workload = wname; mode; size; config })
+          match
+            Option.fold (int "size")
+              ~none:(Ok w.Vmht_workloads.Workload.default_size)
+              ~some:positive
+          with
+          | Error msg -> Error (`Request ("size: " ^ msg))
+          | Ok size ->
+            Ok
+              (Vmht_serve.Proto.Execute { workload = wname; mode; size; config })
         ))
     | Some op -> Error (`Request (Printf.sprintf "unknown op %S" op))
     | None -> Error (`Request "missing \"op\""))
@@ -1194,7 +1209,7 @@ let profile_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Domain-pool width while profiling (default 1).")
   in
@@ -1238,18 +1253,10 @@ let profile_cmd =
       let json_ok =
         match json_out with
         | None -> true
-        | Some path -> (
-          try
-            let oc = open_out path in
-            output_string oc
-              (Vmht_obs.Json.to_string_pretty (Vmht_obs.Profile.to_json t));
-            output_char oc '\n';
-            close_out oc;
-            Printf.printf "  profile written to %s\n" path;
-            true
-          with Sys_error msg ->
-            Printf.eprintf "cannot write profile: %s\n" msg;
-            false)
+        | Some path ->
+          let ok = write_json "profile" path (Vmht_obs.Profile.to_json t) in
+          if ok then Printf.printf "  profile written to %s\n" path;
+          ok
       in
       if not exact then 1 else if not json_ok then exit_write_failed else 0
   in
@@ -1317,29 +1324,72 @@ let perf_diff_cmd =
           past the threshold.")
     Term.(const action $ old_arg $ new_arg $ threshold $ warn_only)
 
+let perf_snapshot_cmd =
+  let jobs =
+    pool_jobs_arg
+      "Domain-pool width for the experiments (default: the machine's \
+       recommended domain count; 1 = sequential)."
+  in
+  let json_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            "Also write the snapshot as a vmht-bench-eval/2 manifest (the \
+             format of the committed BENCH_eval.json) to $(docv).")
+  in
+  let action jobs json_out =
+    set_pool_jobs jobs;
+    let manifest = Perf.snapshot () in
+    match json_out with
+    | None -> 0
+    | Some path ->
+      if write_json "manifest" path manifest then begin
+        Printf.printf "wrote %s\n" path;
+        0
+      end
+      else exit_write_failed
+  in
+  Cmd.v
+    (Cmd.info "snapshot"
+       ~doc:
+         "Time every experiment, then report the synthesis-cache and pass \
+          counters and every micro-benchmark estimate.")
+    Term.(const action $ jobs $ json_out)
+
+let perf_micro_cmd =
+  let filters =
+    Arg.(value & pos_all string [] & info [] ~docv:"NAME")
+  in
+  Cmd.v
+    (Cmd.info "micro"
+       ~doc:
+         "Run the Bechamel micro-benchmarks: all of them, or only the \
+          targets whose name contains one of the given names.")
+    Term.(const Perf.micro $ filters)
+
 let perf_cmd =
   Cmd.group
     (Cmd.info "perf"
-       ~doc:"Performance tooling: the manifest regression gate.")
-    [ perf_diff_cmd ]
+       ~doc:
+         "Performance tooling: timing snapshots, micro-benchmarks and the \
+          manifest regression gate.")
+    [ perf_snapshot_cmd; perf_micro_cmd; perf_diff_cmd ]
 
 (* ------------------------- dse ------------------------------------ *)
 
 let dse_cmd =
   let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Domain-pool width for the sweep (default: the machine's \
-             recommended domain count; 1 = sequential).  Output is \
-             byte-identical at any width.")
+    pool_jobs_arg
+      "Domain-pool width for the sweep (default: the machine's recommended \
+       domain count; 1 = sequential).  Output is byte-identical at any \
+       width."
   in
   let size =
     Arg.(
       value
-      & opt int Vmht_eval.Dse.default_size
+      & opt pos_int Vmht_eval.Dse.default_size
       & info [ "size" ] ~docv:"N" ~doc:"Elements per kernel run.")
   in
   let kernels =
@@ -1369,10 +1419,7 @@ let dse_cmd =
              as a vmht-dse/1 manifest to $(docv).")
   in
   let action jobs size kernels unrolls banks opts tlbs json_out =
-    Vmht_par.Parmap.set_jobs
-      (match jobs with
-       | Some n -> n
-       | None -> Domain.recommended_domain_count ());
+    set_pool_jobs jobs;
     let kernels =
       Option.value ~default:Vmht_eval.Dse.default_kernels kernels
     in
@@ -1402,19 +1449,12 @@ let dse_cmd =
       print_string (Vmht_eval.Dse.render ~size points);
       print_newline ();
       match json_out with
-      | None -> 0
-      | Some path -> (
-        try
-          let oc = open_out path in
-          output_string oc
-            (Vmht_obs.Json.to_string_pretty
-               (Vmht_eval.Dse.manifest ~size points));
-          output_char oc '\n';
-          close_out oc;
-          0
-        with Sys_error msg ->
-          Printf.eprintf "cannot write manifest: %s\n" msg;
-          exit_write_failed)
+      | Some path
+        when not
+               (write_json "manifest" path
+                  (Vmht_eval.Dse.manifest ~size points)) ->
+        exit_write_failed
+      | Some _ | None -> 0
     end
   in
   Cmd.v

@@ -1,9 +1,9 @@
 (** First-class experiment registry — the one place that knows every
     table, figure, ablation and sweep the harness can regenerate.
 
-    Both CLIs dispatch by {!find} and derive their listings and help
-    text from {!all}; adding an experiment means adding one record
-    here and nowhere else. *)
+    The CLI dispatches by {!find} and {!by_kind} and derives its
+    listings and help text from {!all}; adding an experiment means
+    adding one record here and nowhere else. *)
 
 type kind = Table | Figure | Ablation | Sweep
 
@@ -20,7 +20,8 @@ type t = {
 }
 
 val all : t list
-(** In report order: table1..table6, fig1..fig6, abl1..abl5, robust. *)
+(** In report order: table1..table6, fig1..fig6, abl1..abl7, robust,
+    rtl1, dse1. *)
 
 val names : string list
 
@@ -30,3 +31,7 @@ val by_kind : kind -> t list
 
 val run : ?config:Vmht.Config.t -> t -> string
 (** [run e] is [e.run config] (default {!Vmht.Config.default}). *)
+
+val run_all : ?config:Vmht.Config.t -> unit -> string
+(** Every experiment, each under a ["===== name ====="] header,
+    concatenated — the full evaluation section. *)

@@ -103,6 +103,21 @@ let to_string_pretty v =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
+(* Closes the channel on every path: a failed write (full disk, say)
+   surfaces from [output_string] or the final flush in [close_out]. *)
+let write_file path v =
+  match open_out path with
+  | exception Sys_error msg -> Error msg
+  | oc -> (
+    match
+      output_string oc (to_string_pretty v);
+      close_out oc
+    with
+    | () -> Ok ()
+    | exception Sys_error msg ->
+      close_out_noerr oc;
+      Error msg)
+
 (* ------------------------- parsing -------------------------------- *)
 
 type parser_state = { src : string; mutable pos : int }

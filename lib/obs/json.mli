@@ -24,6 +24,12 @@ val to_string : t -> string
 val to_string_pretty : t -> string
 (** Two-space-indented rendering, newline-terminated. *)
 
+val write_file : string -> t -> (unit, string) result
+(** [write_file path v] writes {!to_string_pretty} [v] to [path].
+    [Error msg] carries the system message (which names [path]) when
+    the file cannot be opened or written; the channel is closed on
+    every path. *)
+
 val of_string : string -> t
 (** Parse a complete document (trailing garbage is an error). *)
 

@@ -93,92 +93,3 @@ let spans () =
   let ss = !collected in
   Mutex.unlock m;
   List.sort (fun a b -> compare a.seq0 b.seq0) ss
-
-(* {2 Chrome-trace export} *)
-
-let ts_us ns = Json.Float (float_of_int ns /. 1e3)
-
-let span_json ~pid s =
-  let args =
-    ("id", Json.Int s.id)
-    ::
-    (match s.parent with
-    | Some p -> [ ("parent", Json.Int p) ]
-    | None -> [])
-  in
-  Json.Obj
-    [
-      ("name", Json.String s.name);
-      ("cat", Json.String s.cat);
-      ("ph", Json.String "X");
-      ("pid", Json.Int pid);
-      ("tid", Json.Int s.tid);
-      ("ts", ts_us s.t0_ns);
-      ("dur", ts_us (max 0 (s.t1_ns - s.t0_ns)));
-      ("args", Json.Obj args);
-    ]
-
-let flow_json ~pid ~by_id s =
-  match s.flow_from with
-  | None -> []
-  | Some src_id -> (
-    match Hashtbl.find_opt by_id src_id with
-    | None -> []
-    | Some (src : t) ->
-      if src.tid = s.tid then []
-      else
-        let common name ph tid ts =
-          Json.Obj
-            [
-              ("name", Json.String name);
-              ("cat", Json.String "flow");
-              ("ph", Json.String ph);
-              ("id", Json.Int s.id);
-              ("pid", Json.Int pid);
-              ("tid", Json.Int tid);
-              ("ts", ts_us ts);
-            ]
-        in
-        [
-          common s.name "s" src.tid (Stdlib.min src.t1_ns s.t0_ns);
-          common s.name "f" s.tid s.t0_ns;
-        ])
-
-let to_chrome_json ?(process_name = "vmht") ?(pid = 0) (ss : t list) =
-  let by_id = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace by_id s.id s) ss;
-  let tids =
-    List.sort_uniq compare (List.map (fun (s : t) -> s.tid) ss)
-  in
-  let metadata_event ~tid ~name ~value =
-    Json.Obj
-      [
-        ("name", Json.String name);
-        ("ph", Json.String "M");
-        ("pid", Json.Int pid);
-        ("tid", Json.Int tid);
-        ("args", Json.Obj [ ("name", Json.String value) ]);
-      ]
-  in
-  let metadata =
-    metadata_event ~tid:0 ~name:"process_name" ~value:process_name
-    :: List.map
-         (fun tid ->
-           let value = if tid = 0 then "main" else Printf.sprintf "worker-%d" tid in
-           metadata_event ~tid ~name:"thread_name" ~value)
-         tids
-  in
-  let xs = List.map (span_json ~pid) ss in
-  let flows = List.concat_map (flow_json ~pid ~by_id) ss in
-  Json.Obj
-    [
-      ("traceEvents", Json.List (metadata @ xs @ flows));
-      ("displayTimeUnit", Json.String "ms");
-    ]
-
-let write_chrome_file ?process_name ?pid path ss =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty (to_chrome_json ?process_name ?pid ss)))

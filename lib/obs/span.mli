@@ -10,8 +10,9 @@
 
     Thread ids: the main domain reports tid 0; pool workers call
     {!set_tid} once with a stable small id so a [-j N] run renders as
-    [N] named tracks in the Chrome-trace export, with flow arrows from
-    the submitting span to each task. *)
+    [N] named tracks in the Chrome-trace export
+    ({!Chrome_trace.of_spans}), with flow arrows from the submitting span
+    to each task. *)
 
 type t = {
   id : int;
@@ -50,9 +51,3 @@ val reset : unit -> unit
 
 val now_ns : unit -> int
 (** Wall clock in integer nanoseconds. *)
-
-val to_chrome_json : ?process_name:string -> ?pid:int -> t list -> Json.t
-(** ["X"] complete events (µs timestamps) plus ["s"]/["f"] flow pairs
-    for cross-track [flow_from] edges and thread-name metadata. *)
-
-val write_chrome_file : ?process_name:string -> ?pid:int -> string -> t list -> unit

@@ -62,6 +62,33 @@ let test_json_parse_errors () =
   check_bool "trailing garbage" true (fails "[1, 2] x");
   check_bool "bare word" true (fails "frue")
 
+let test_json_write_file () =
+  let doc =
+    Json.Obj
+      [
+        ("schema", Json.String "test/1");
+        ("values", Json.List [ Json.Int 1; Json.Float 2.5; Json.Null ]);
+      ]
+  in
+  let path = Filename.temp_file "vmht-json" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      (match Json.write_file path doc with
+       | Ok () -> ()
+       | Error msg -> Alcotest.fail msg);
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      check_bool "round-trips" true (Json.of_string text = doc);
+      check_bool "ends with a newline" true
+        (text <> "" && text.[String.length text - 1] = '\n');
+      let missing = Filename.concat (path ^ ".missing") "out.json" in
+      match Json.write_file missing doc with
+      | Ok () -> Alcotest.fail "wrote into a missing directory"
+      | Error msg ->
+        check_bool "error names the path" true
+          (String.length msg >= String.length missing
+          && String.sub msg 0 (String.length missing) = missing))
+
 (* ------------------------- Metrics -------------------------------- *)
 
 let test_histogram_buckets () =
@@ -208,7 +235,10 @@ let sample_events =
   ]
 
 let test_chrome_trace_shape () =
-  let doc = Json.of_string (Chrome_trace.to_string sample_events) in
+  let doc =
+    Json.of_string
+      (Json.to_string_pretty (Chrome_trace.to_json sample_events))
+  in
   (match Json.member "displayTimeUnit" doc with
    | Some (Json.String _) -> ()
    | _ -> Alcotest.fail "displayTimeUnit missing");
@@ -430,7 +460,7 @@ let test_span_nesting_parallel () =
         spans;
       (* The Chrome export stays structurally sound: every X event
          carries pid/tid/ts/dur and flow pairs come s-then-f. *)
-      let doc = Span.to_chrome_json spans in
+      let doc = Chrome_trace.of_spans spans in
       match Json.member "traceEvents" doc with
       | Some (Json.List evs) ->
         check_bool "export non-empty" true (List.length evs > List.length spans)
@@ -562,6 +592,7 @@ let suite =
     Alcotest.test_case "json: round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json: escapes" `Quick test_json_escapes;
     Alcotest.test_case "json: parse errors" `Quick test_json_parse_errors;
+    Alcotest.test_case "json: write_file" `Quick test_json_write_file;
     Alcotest.test_case "metrics: bucket boundaries" `Quick
       test_histogram_buckets;
     Alcotest.test_case "metrics: histogram snapshot" `Quick
