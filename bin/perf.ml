@@ -1,12 +1,7 @@
-(* Performance tooling behind [vmht perf]: Bechamel micro-benchmarks
-   and the timing snapshot that the regression gate ([vmht perf diff])
-   compares against the committed BENCH_eval.json.
-
-   [micro] runs Bechamel targets — one per experiment plus targets for
-   the simulator machinery itself (event queue, MMU translation).
-   [snapshot] times every experiment, then the synthesis-cache
-   counters and every micro target, and returns the
-   [vmht-bench-eval/2] manifest. *)
+(* Bechamel micro-benchmarks behind [vmht perf micro] and the [micro]
+   section of [vmht perf snapshot]: one target per experiment plus
+   targets for the simulator machinery itself (event queue, MMU
+   translation). *)
 
 open Bechamel
 module Workload = Vmht_workloads.Workload
@@ -207,6 +202,13 @@ let print_estimate (name, estimate) =
   in
   Printf.printf "  %-32s %s\n" name cell
 
+let run_targets targets =
+  let estimates =
+    micro_estimates (List.map (fun (_, t) -> Lazy.force t) targets)
+  in
+  List.iter print_estimate estimates;
+  estimates
+
 let micro filters =
   match select_micro filters with
   | [] ->
@@ -214,141 +216,18 @@ let micro filters =
       (String.concat ", " filters);
     1
   | selected ->
-    let estimates =
-      micro_estimates (List.map (fun (_, t) -> Lazy.force t) selected)
-    in
     print_endline "micro-benchmarks (monotonic clock, ns per run):";
-    List.iter print_estimate estimates;
+    ignore (run_targets selected);
     0
 
-(* The commit the snapshot was taken at, read straight from .git (no
-   subprocess): HEAD is either a hash or a "ref: ..." pointer into
-   refs/ or packed-refs. *)
-let git_rev () =
-  let read path =
-    try
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Some (String.trim s)
-    with Sys_error _ | End_of_file -> None
-  in
-  match read ".git/HEAD" with
-  | None -> "unknown"
-  | Some head when not (String.length head > 5 && String.sub head 0 5 = "ref: ")
-    -> head
-  | Some head -> (
-    let ref_name = String.trim (String.sub head 5 (String.length head - 5)) in
-    match read (".git/" ^ ref_name) with
-    | Some hash -> hash
-    | None -> (
-      match read ".git/packed-refs" with
-      | None -> "unknown"
-      | Some packed -> (
-        let lines = String.split_on_char '\n' packed in
-        let matching =
-          List.find_opt
-            (fun line ->
-              match String.index_opt line ' ' with
-              | Some i ->
-                String.sub line (i + 1) (String.length line - i - 1) = ref_name
-              | None -> false)
-            lines
-        in
-        match matching with
-        | Some line -> String.sub line 0 (String.index line ' ')
-        | None -> "unknown")))
-
-let snapshot () =
-  let t0 = Unix.gettimeofday () in
-  Printf.printf "perf: %d experiments, %d jobs\n%!"
-    (List.length Vmht_eval.Experiment.all)
-    (Vmht_par.Parmap.jobs ());
-  Vmht_eval.Common.reset_run_stats ();
-  let experiments =
-    List.map
-      (fun (e : Vmht_eval.Experiment.t) ->
-        let name = e.Vmht_eval.Experiment.name in
-        let s0 = Unix.gettimeofday () in
-        let out, stats =
-          Vmht_eval.Common.with_run_stats (fun () -> Vmht_eval.Experiment.run e)
-        in
-        let seconds = Unix.gettimeofday () -. s0 in
-        Printf.printf "  %-8s %8.3f s  (%d bytes)\n%!" name seconds
-          (String.length out);
-        (name, seconds, String.length out, stats))
-      Vmht_eval.Experiment.all
-  in
-  let total_seconds = Unix.gettimeofday () -. t0 in
-  let cache = Vmht.Flow.cache_stats () in
-  let metrics = Vmht_obs.Metrics.create () in
-  Vmht.Flow.sync_cache_metrics metrics;
-  Vmht.Flow.sync_pass_metrics metrics;
-  print_string
-    (Vmht_obs.Metrics.snapshot_to_string (Vmht_obs.Metrics.snapshot metrics));
-  Printf.printf "total: %.3f s\n%!" total_seconds;
-  let micro =
-    micro_estimates (List.map (fun (_, t) -> Lazy.force t) micro_targets)
-  in
-  List.iter print_estimate micro;
-  Json.Obj
-    [
-      ("schema", Json.String "vmht-bench-eval/2");
-      ("git_rev", Json.String (git_rev ()));
-      ("jobs", Json.Int (Vmht_par.Parmap.jobs ()));
-      ( "experiments",
-        Json.List
-          (List.map
-             (fun (name, seconds, bytes, stats) ->
-               let cyc = stats.Vmht_eval.Common.run_cycles in
-               let host = stats.Vmht_eval.Common.run_host_ns in
-               let runs = Vmht_obs.Histogram.count cyc in
-               let summary h =
-                 Vmht_obs.Histogram.summary_to_json
-                   (Vmht_obs.Histogram.summary h)
-               in
-               Json.Obj
-                 [
-                   ("name", Json.String name);
-                   (* Experiments that execute nothing (area and
-                      synthesis-time studies) have no per-run
-                      timing; the explicit kind tells the perf
-                      gate that their missing ns_per_run is
-                      intentional, not a silently dropped metric. *)
-                   ( "kind",
-                     Json.String (if runs = 0 then "synthesis" else "run")
-                   );
-                   ("seconds", Json.Float seconds);
-                   ("runs", Json.Int runs);
-                   ( "ns_per_run",
-                     if runs = 0 then Json.Null
-                     else Json.Float (seconds *. 1e9 /. float_of_int runs)
-                   );
-                   ("cycles", summary cyc);
-                   ("host_ns", summary host);
-                   ("output_bytes", Json.Int bytes);
-                 ])
-             experiments) );
-      ("total_seconds", Json.Float total_seconds);
-      ( "synthesis_cache",
-        Json.Obj
-          [
-            ("hits", Json.Int cache.Vmht.Flow.cache_hits);
-            ("misses", Json.Int cache.Vmht.Flow.cache_misses);
-            ("entries", Json.Int cache.Vmht.Flow.cache_entries);
-          ] );
-      ( "micro",
-        Json.List
-          (List.map
-             (fun (name, estimate) ->
-               Json.Obj
-                 [
-                   ("name", Json.String name);
-                   ( "ns_per_run",
-                     match estimate with
-                     | Some e -> Json.Float e
-                     | None -> Json.Null );
-                 ])
-             micro) );
-    ]
+let micro_all () =
+  Json.List
+    (List.map
+       (fun (name, estimate) ->
+         Json.Obj
+           [
+             ("name", Json.String name);
+             ( "ns_per_run",
+               match estimate with Some e -> Json.Float e | None -> Json.Null );
+           ])
+       (run_targets micro_targets))

@@ -1,5 +1,5 @@
-(** Performance tooling behind [vmht perf snapshot] and
-    [vmht perf micro]. *)
+(** Bechamel micro-benchmarks behind [vmht perf micro] and
+    [vmht perf snapshot]. *)
 
 val micro : string list -> int
 (** Run the micro-benchmark targets whose name contains one of the
@@ -7,7 +7,6 @@ val micro : string list -> int
     estimates.  Returns the exit code: 1, with a message on stderr,
     when no target matches. *)
 
-val snapshot : unit -> Vmht_obs.Json.t
-(** Time every experiment at the current pool width, print the
-    progress, the cache and pass counters and every micro estimate,
-    and return the [vmht-bench-eval/2] manifest. *)
+val micro_all : unit -> Vmht_obs.Json.t
+(** Run every target, print each estimate, and return them as the
+    snapshot manifest's [micro] array of [{name, ns_per_run}]. *)

@@ -50,20 +50,29 @@ let write_json what path doc =
     Printf.eprintf "cannot write %s: %s\n" what msg;
     false
 
-(* The one positivity check, shared by the [pos_int] converter (sizes,
-   job counts) and the serve protocol's request parser. *)
-let positive n =
-  if n >= 1 then Ok n
-  else Error (Printf.sprintf "expected a positive integer, got %d" n)
-
-let pos_int =
+(* Integer options are range-checked up front: an out-of-range knob is
+   a usage error (exit 124), never a failure deep inside the SoC.
+   [checked what ok] is the check (the serve parser shares [positive])
+   and its converter. *)
+let checked what ok =
+  let check n =
+    if ok n then Ok n else Error (Printf.sprintf "expected %s, got %d" what n)
+  in
   let parse s =
     match int_of_string_opt s with
-    | Some n -> Result.map_error (fun msg -> `Msg msg) (positive n)
-    | None ->
-      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n -> Result.map_error (fun msg -> `Msg msg) (check n)
+    | None -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
   in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+  (check, Arg.conv ~docv:"N" (parse, Format.pp_print_int))
+
+let positive, pos_int = checked "a positive integer" (fun n -> n >= 1)
+
+let nonneg_int = snd (checked "a non-negative integer" (fun n -> n >= 0))
+
+(* A page holds at least 8 page-table entries (shift 6), and the
+   default 26-bit virtual space keeps at least 2 VPN bits (shift 24). *)
+let page_shift_int =
+  snd (checked "a page shift in 6..24" (fun n -> n >= 6 && n <= 24))
 
 (* [-j/--jobs] for the commands whose pool defaults to the machine's
    recommended domain count. *)
@@ -122,12 +131,47 @@ let backend_arg =
 
 let banks_arg =
   Arg.(
-    value & opt int 1
+    value & opt pos_int 1
     & info [ "banks" ] ~docv:"N"
         ~doc:
           "Word-interleaved scratchpad banks the scheduler may arbitrate \
            across (default 1 = flat memory; accesses provably on distinct \
            banks co-issue).")
+
+let unroll_arg =
+  Arg.(value & opt pos_int 1 & info [ "unroll" ] ~doc:"Loop unroll factor.")
+
+(* The translation hierarchy beyond the private L1 TLB, shared by
+   [run] and [trace]. *)
+let tlb2_arg =
+  Arg.(
+    value
+    & opt (some pos_int) None
+    & info [ "tlb2" ] ~docv:"ENTRIES"
+        ~doc:
+          "Enable the SoC-shared second-level TLB with $(docv) entries \
+           (4-way, LRU, 2-cycle probe).")
+
+let walk_cache_arg =
+  Arg.(
+    value
+    & opt (some nonneg_int) None
+    & info [ "walk-cache" ] ~docv:"ENTRIES"
+        ~doc:
+          "Give each MMU's walker a $(docv)-slot page-walk cache (0 \
+           disables).")
+
+let with_translation config tlb2 walk_cache =
+  let config =
+    match tlb2 with
+    | Some entries ->
+      Vmht.Config.with_tlb2 config
+        { Vmht_vm.Tlb2.default_config with enabled = true; entries }
+    | None -> config
+  in
+  match walk_cache with
+  | Some entries -> Vmht.Config.with_walk_cache config entries
+  | None -> config
 
 let config_with_opt config opt_level passes =
   let config =
@@ -198,9 +242,6 @@ let synth_cmd =
       & opt iface_conv Vmht.Wrapper.Vm_iface
       & info [ "iface" ] ~doc:"Interface wrapper style: vm or dma.")
   in
-  let unroll =
-    Arg.(value & opt int 1 & info [ "unroll" ] ~doc:"Loop unroll factor.")
-  in
   let emit_rtl =
     Arg.(
       value & flag & info [ "verilog" ] ~doc:"Print the generated RTL too.")
@@ -235,8 +276,8 @@ let synth_cmd =
     (Cmd.info "synth"
        ~doc:"Synthesize hardware threads (HLS + interface wrapper).")
     Term.(
-      const action $ file $ iface $ unroll $ banks_arg $ emit_rtl $ pipeline
-      $ opt_level_arg $ passes_arg)
+      const action $ file $ iface $ unroll_arg $ banks_arg $ emit_rtl
+      $ pipeline $ opt_level_arg $ passes_arg)
 
 (* ------------------------- run ------------------------------------ *)
 
@@ -252,37 +293,23 @@ let mode_conv =
       ("dma", Vmht_eval.Common.Dma);
     ]
 
+(* The workload-driving arguments [run] and [trace] share. *)
+let workload_arg =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
+
+let mode_arg =
+  Arg.(
+    value
+    & opt mode_conv Vmht_eval.Common.Vm
+    & info [ "mode" ] ~doc:"Execution style: sw, vm or dma.")
+
+let size_arg = Arg.(value & opt (some pos_int) None & info [ "size" ])
+
 let run_cmd =
-  let workload_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
+  let tlb = Arg.(value & opt (some pos_int) None & info [ "tlb" ]) in
+  let page_shift =
+    Arg.(value & opt (some page_shift_int) None & info [ "page-shift" ])
   in
-  let mode =
-    Arg.(
-      value
-      & opt mode_conv Vmht_eval.Common.Vm
-      & info [ "mode" ] ~doc:"Execution style: sw, vm or dma.")
-  in
-  let size = Arg.(value & opt (some pos_int) None & info [ "size" ]) in
-  let tlb = Arg.(value & opt (some int) None & info [ "tlb" ]) in
-  let tlb2 =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "tlb2" ] ~docv:"ENTRIES"
-          ~doc:
-            "Enable the SoC-shared second-level TLB with $(docv) entries \
-             (4-way, LRU, 2-cycle probe).")
-  in
-  let walk_cache =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "walk-cache" ] ~docv:"ENTRIES"
-          ~doc:
-            "Give each MMU's walker a $(docv)-slot page-walk cache (0 \
-             disables).")
-  in
-  let page_shift = Arg.(value & opt (some int) None & info [ "page-shift" ]) in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print the full system report.")
   in
@@ -324,9 +351,6 @@ let run_cmd =
             "Record causal host-time spans (parse, passes, schedule, emit, \
              simulate) and write them as Chrome-trace JSON to $(docv).")
   in
-  let unroll =
-    Arg.(value & opt int 1 & info [ "unroll" ] ~doc:"Loop unroll factor.")
-  in
   let action wname mode size tlb tlb2 walk_cache page_shift stats trace_n
       trace_out metrics_json spans_out pipeline unroll banks no_fastpath
       backend opt_level passes =
@@ -352,18 +376,7 @@ let run_cmd =
         | Some entries -> Vmht.Config.with_tlb_entries config entries
         | None -> config
       in
-      let config =
-        match tlb2 with
-        | Some entries ->
-          Vmht.Config.with_tlb2 config
-            { Vmht_vm.Tlb2.default_config with Vmht_vm.Tlb2.enabled = true; entries }
-        | None -> config
-      in
-      let config =
-        match walk_cache with
-        | Some entries -> Vmht.Config.with_walk_cache config entries
-        | None -> config
-      in
+      let config = with_translation config tlb2 walk_cache in
       let config =
         match page_shift with
         | Some shift -> Vmht.Config.with_page_shift config shift
@@ -471,25 +484,14 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run a benchmark workload on the simulated SoC.")
     Term.(
-      const action $ workload_arg $ mode $ size $ tlb $ tlb2 $ walk_cache
-      $ page_shift $ stats $ trace_n $ trace_out $ metrics_json $ spans_out
-      $ pipeline $ unroll $ banks_arg $ no_fastpath_arg $ backend_arg
-      $ opt_level_arg
-      $ passes_arg)
+      const action $ workload_arg $ mode_arg $ size_arg $ tlb $ tlb2_arg
+      $ walk_cache_arg $ page_shift $ stats $ trace_n $ trace_out
+      $ metrics_json $ spans_out $ pipeline $ unroll_arg $ banks_arg
+      $ no_fastpath_arg $ backend_arg $ opt_level_arg $ passes_arg)
 
 (* ------------------------- trace ---------------------------------- *)
 
 let trace_cmd =
-  let workload_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
-  in
-  let mode =
-    Arg.(
-      value
-      & opt mode_conv Vmht_eval.Common.Vm
-      & info [ "mode" ] ~doc:"Execution style: sw, vm or dma.")
-  in
-  let size = Arg.(value & opt (some pos_int) None & info [ "size" ]) in
   let component =
     Arg.(
       value
@@ -519,20 +521,6 @@ let trace_cmd =
             "Write the (filtered) events as Chrome-trace JSON instead of \
              text.")
   in
-  let tlb2 =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "tlb2" ] ~docv:"ENTRIES"
-          ~doc:"Enable the shared second-level TLB with $(docv) entries.")
-  in
-  let walk_cache =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "walk-cache" ] ~docv:"ENTRIES"
-          ~doc:"Give each page-table walker a $(docv)-entry walk cache.")
-  in
   let action wname mode size tlb2 walk_cache component kind limit out =
     match Vmht_workloads.Registry.find wname with
     | exception Not_found ->
@@ -542,22 +530,7 @@ let trace_cmd =
       let size =
         Option.value ~default:w.Vmht_workloads.Workload.default_size size
       in
-      let config =
-        match tlb2 with
-        | Some entries ->
-          Vmht.Config.with_tlb2 Vmht.Config.default
-            {
-              Vmht_vm.Tlb2.default_config with
-              Vmht_vm.Tlb2.enabled = true;
-              entries;
-            }
-        | None -> Vmht.Config.default
-      in
-      let config =
-        match walk_cache with
-        | Some entries -> Vmht.Config.with_walk_cache config entries
-        | None -> config
-      in
+      let config = with_translation Vmht.Config.default tlb2 walk_cache in
       let o = Vmht_eval.Common.run ~config ~observe:true mode w ~size in
       let tr = Vmht.Soc.trace o.Vmht_eval.Common.soc in
       (* "--component mmu" matches every numbered instance ("mmu",
@@ -612,8 +585,8 @@ let trace_cmd =
          "Run a workload with event observation on and dump or export its \
           typed trace.")
     Term.(
-      const action $ workload_arg $ mode $ size $ tlb2 $ walk_cache
-      $ component $ kind $ limit $ out)
+      const action $ workload_arg $ mode_arg $ size_arg $ tlb2_arg
+      $ walk_cache_arg $ component $ kind $ limit $ out)
 
 (* ------------------------- system --------------------------------- *)
 
@@ -679,6 +652,14 @@ let groups =
       ("sweeps", Sweep);
     ]
 
+(* Incorrect runs are listed on stderr and fail the command. *)
+let mismatch_code = function
+  | [] -> 0
+  | bad ->
+    Printf.eprintf "result mismatches in %d run(s):\n" (List.length bad);
+    List.iter (Printf.eprintf "  %s\n") bad;
+    1
+
 let bench_cmd =
   let names =
     Arg.(value & pos_all string [ "all" ] & info [] ~docv:"EXPERIMENT")
@@ -714,9 +695,10 @@ let bench_cmd =
       & opt (some string) None
       & info [ "metrics-json" ] ~docv:"FILE"
           ~doc:
-            "Write a machine-readable run manifest (experiments run, \
-             output sizes, seed, fault plan, per-run histograms, \
-             mismatches) to $(docv).")
+            "Write the run's vmht-bench/3 manifest (per-experiment \
+             timing and per-run histograms, seed, fault plan, pass and \
+             translation statistics, mismatches; a valid \
+             $(b,vmht perf diff) input) to $(docv).")
   in
   let spans_out =
     Arg.(
@@ -731,8 +713,6 @@ let bench_cmd =
   let action jobs fault_rate seed metrics_json spans_out no_fastpath opt_level
       passes names =
     set_pool_jobs jobs;
-    Vmht_eval.Common.reset_mismatches ();
-    Vmht_eval.Common.reset_run_stats ();
     if Option.is_some spans_out then Vmht_obs.Span.enable true;
     let config = Vmht.Config.default in
     let config =
@@ -748,130 +728,52 @@ let bench_cmd =
     in
     let config = config_with_opt config opt_level passes in
     let config = Vmht.Config.with_fastpath config (not no_fastpath) in
-    with_schedule config @@ fun sched ->
-    Vmht_ir.Pass_manager.reset_totals ();
-    Vmht_vm.Vm_totals.reset ();
-    let ran = ref [] in
-    let run_experiment (e : Vmht_eval.Experiment.t) =
-      let out = Vmht_eval.Experiment.run ~config e in
-      print_string (out ^ "\n");
-      ran := (e.Vmht_eval.Experiment.name, String.length out) :: !ran
+    with_schedule config @@ fun _sched ->
+    (* Each argument becomes experiments plus how to print them: "all"
+       as headed sections, anything else as bare tables. *)
+    let plain out = print_string (out ^ "\n") in
+    let unknown = ref 0 in
+    let plan =
+      List.concat_map
+        (function
+          | "all" ->
+            List.mapi
+              (fun i (e : Vmht_eval.Experiment.t) ->
+                ( e,
+                  fun out ->
+                    Printf.printf "%s===== %s =====\n%s"
+                      (if i = 0 then "" else "\n")
+                      e.Vmht_eval.Experiment.name out ))
+              Vmht_eval.Experiment.all
+          | name when List.mem_assoc name groups ->
+            List.map
+              (fun e -> (e, plain))
+              (Vmht_eval.Experiment.by_kind (List.assoc name groups))
+          | name -> (
+            match Vmht_eval.Experiment.find name with
+            | Some e -> [ (e, plain) ]
+            | None ->
+              Printf.eprintf "unknown experiment '%s'\n" name;
+              unknown := 1;
+              []))
+        names
     in
-    let run_one = function
-      | "all" ->
-        let out = Vmht_eval.Experiment.run_all ~config () in
-        print_string out;
-        ran := ("all", String.length out) :: !ran;
-        0
-      | name when List.mem_assoc name groups ->
-        List.iter run_experiment
-          (Vmht_eval.Experiment.by_kind (List.assoc name groups));
-        0
-      | name -> (
-        match Vmht_eval.Experiment.find name with
-        | Some e ->
-          run_experiment e;
-          0
-        | None ->
-          Printf.eprintf "unknown experiment '%s'\n" name;
-          1)
-    in
-    let code = List.fold_left (fun acc n -> max acc (run_one n)) 0 names in
-    let mismatches = Vmht_eval.Common.mismatch_log () in
-    let code =
-      match mismatches with
-      | [] -> code
-      | bad ->
-        Printf.eprintf "result mismatches in %d run(s):\n" (List.length bad);
-        List.iter (Printf.eprintf "  %s\n") bad;
-        max code 1
-    in
+    let printers = Queue.of_seq (List.to_seq (List.map snd plan)) in
+    let emit _ out _ = Queue.pop printers out in
+    let b = Vmht_eval.Experiment.bench ~config ~emit (List.map fst plan) in
+    let code = max !unknown (mismatch_code b.Vmht_eval.Experiment.mismatches) in
     let code =
       match spans_out with
-      | Some path when not (write_spans path) -> max code exit_write_failed
+      | Some path when not (write_spans path) -> exit_write_failed
       | _ -> code
     in
     match metrics_json with
-    | None -> code
-    | Some path -> (
-      let module Json = Vmht_obs.Json in
-      let rs = Vmht_eval.Common.global_run_stats () in
-      let hsummary h =
-        Vmht_obs.Histogram.summary_to_json (Vmht_obs.Histogram.summary h)
-      in
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.String "vmht-bench-run/2");
-            ("jobs", Json.Int (Vmht_par.Parmap.jobs ()));
-            ("seed", Json.Int config.Vmht.Config.seed);
-            ( "fault",
-              Json.String (Vmht_fault.Plan.to_string config.Vmht.Config.fault)
-            );
-            ("fastpath", Json.Bool config.Vmht.Config.fastpath);
-            ( "experiments",
-              Json.List
-                (List.rev_map
-                   (fun (name, bytes) ->
-                     Json.Obj
-                       [
-                         ("name", Json.String name);
-                         ("output_bytes", Json.Int bytes);
-                       ])
-                   !ran) );
-            ( "passes",
-              Json.Obj
-                [
-                  ( "schedule",
-                    Json.String sched.Vmht_ir.Pass_manager.sname );
-                  ( "order",
-                    Json.List
-                      (List.map
-                         (fun (p : Vmht_ir.Pass.t) ->
-                           Json.String p.Vmht_ir.Pass.name)
-                         sched.Vmht_ir.Pass_manager.passes) );
-                ] );
-            ( "pass_stats",
-              Json.List
-                (List.map
-                   (fun (pass, runs, rewrites) ->
-                     Json.Obj
-                       [
-                         ("pass", Json.String pass);
-                         ("runs", Json.Int runs);
-                         ("rewrites", Json.Int rewrites);
-                       ])
-                   (Vmht_ir.Pass_manager.totals ())) );
-            ( "vm",
-              let tot = Vmht_vm.Vm_totals.totals () in
-              Json.Obj
-                [
-                  ("tlb2.lookups", Json.Int tot.Vmht_vm.Vm_totals.tlb2_lookups);
-                  ("tlb2.hits", Json.Int tot.Vmht_vm.Vm_totals.tlb2_hits);
-                  ( "tlb2.misses",
-                    Json.Int
-                      (tot.Vmht_vm.Vm_totals.tlb2_lookups
-                     - tot.Vmht_vm.Vm_totals.tlb2_hits) );
-                  ( "tlb2.evictions",
-                    Json.Int tot.Vmht_vm.Vm_totals.tlb2_evictions );
-                  ( "walk_cache.hits",
-                    Json.Int tot.Vmht_vm.Vm_totals.walk_cache_hits );
-                  ( "walk_cache.misses",
-                    Json.Int tot.Vmht_vm.Vm_totals.walk_cache_misses );
-                ] );
-            ( "run",
-              Json.Obj
-                [
-                  ("cycles", hsummary rs.Vmht_eval.Common.run_cycles);
-                  ("host_ns", hsummary rs.Vmht_eval.Common.run_host_ns);
-                ] );
-            ( "mismatches",
-              Json.List (List.map (fun s -> Json.String s) mismatches) );
-            ("exit_code", Json.Int code);
-          ]
-      in
-      if write_json "manifest" path doc then code
-      else max code exit_write_failed)
+    | Some path
+      when not
+             (write_json "manifest" path
+                (b.Vmht_eval.Experiment.manifest ~exit_code:code [])) ->
+      exit_write_failed
+    | Some _ | None -> code
   in
   let man =
     `S Manpage.s_description
@@ -992,7 +894,7 @@ let loadgen_cmd =
       if shards = 0 then Vmht_par.Parmap.set_jobs jobs;
       let config = Vmht.Config.with_seed Vmht.Config.default seed in
       let reqs = Vmht_eval.Loadgen.mix ~config ~requests ~seed in
-      let report = Vmht_eval.Loadgen.run ?store ~server ~seed reqs in
+      let report = Vmht_eval.Loadgen.run ?store ~server ~config ~seed reqs in
       Vmht_serve.Server.shutdown server;
       print_string report.Vmht_eval.Loadgen.output;
       prerr_string report.Vmht_eval.Loadgen.perf_line;
@@ -1037,9 +939,19 @@ let serve_line_to_job line =
   | j -> (
     let str k = Option.bind (J.member k j) J.to_str in
     let int k = Option.bind (J.member k j) J.to_int in
+    let ( let* ) = Result.bind in
+    (* A structural field, when present, must be positive as on the CLI. *)
+    let positive_field k =
+      match Option.map positive (int k) with
+      | Some (Error msg) -> Error (`Request (k ^ ": " ^ msg))
+      | Some (Ok n) -> Ok (Some n)
+      | None -> Ok None
+    in
+    let* unroll = positive_field "unroll" in
+    let* tlb = positive_field "tlb" in
     let config = Vmht.Config.default in
     let config =
-      match int "unroll" with
+      match unroll with
       | Some u -> Vmht.Config.with_unroll config u
       | None -> config
     in
@@ -1049,7 +961,7 @@ let serve_line_to_job line =
       | None -> config
     in
     let config =
-      match int "tlb" with
+      match tlb with
       | Some t -> Vmht.Config.with_tlb_entries config t
       | None -> config
     in
@@ -1104,15 +1016,11 @@ let serve_line_to_job line =
               (Option.bind (str "mode") Vmht_serve.Proto.mode_of_name)
               ~default:Vmht_serve.Proto.Vm
           in
-          match
-            Option.fold (int "size")
-              ~none:(Ok w.Vmht_workloads.Workload.default_size)
-              ~some:positive
-          with
-          | Error msg -> Error (`Request ("size: " ^ msg))
-          | Ok size ->
-            Ok
-              (Vmht_serve.Proto.Execute { workload = wname; mode; size; config })
+          let* size = positive_field "size" in
+          let size =
+            Option.value size ~default:w.Vmht_workloads.Workload.default_size
+          in
+          Ok (Vmht_serve.Proto.Execute { workload = wname; mode; size; config })
         ))
     | Some op -> Error (`Request (Printf.sprintf "unknown op %S" op))
     | None -> Error (`Request "missing \"op\""))
@@ -1254,7 +1162,12 @@ let profile_cmd =
         match json_out with
         | None -> true
         | Some path ->
-          let ok = write_json "profile" path (Vmht_obs.Profile.to_json t) in
+          let ok =
+            write_json "profile" path
+              (Vmht_obs.Manifest.make ~schema:"vmht-profile/1" ~jobs
+                 ~config:(Vmht.Config.digest config)
+                 (Vmht_obs.Profile.fields t))
+          in
           if ok then Printf.printf "  profile written to %s\n" path;
           ok
       in
@@ -1336,26 +1249,48 @@ let perf_snapshot_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Also write the snapshot as a vmht-bench-eval/2 manifest (the \
-             format of the committed BENCH_eval.json) to $(docv).")
+            "Also write the snapshot as a vmht-bench/3 manifest (the \
+             experiments plus a $(b,micro) array; a valid \
+             $(b,vmht perf diff) input) to $(docv).")
   in
   let action jobs json_out =
     set_pool_jobs jobs;
-    let manifest = Perf.snapshot () in
+    Printf.printf "perf: %d experiments, %d jobs\n%!"
+      (List.length Vmht_eval.Experiment.all)
+      (Vmht_par.Parmap.jobs ());
+    let t0 = Unix.gettimeofday () in
+    let progress (e : Vmht_eval.Experiment.t) out seconds =
+      Printf.printf "  %-8s %8.3f s  (%d bytes)\n%!"
+        e.Vmht_eval.Experiment.name seconds (String.length out)
+    in
+    let b =
+      Vmht_eval.Experiment.bench ~emit:progress Vmht_eval.Experiment.all
+    in
+    let total_seconds = Unix.gettimeofday () -. t0 in
+    let metrics = Vmht_obs.Metrics.create () in
+    Vmht.Flow.sync_cache_metrics metrics;
+    print_string
+      (Vmht_obs.Metrics.snapshot_to_string (Vmht_obs.Metrics.snapshot metrics));
+    Printf.printf "total: %.3f s\n%!" total_seconds;
+    let micro = Perf.micro_all () in
+    let code = mismatch_code b.Vmht_eval.Experiment.mismatches in
     match json_out with
-    | None -> 0
+    | None -> code
     | Some path ->
-      if write_json "manifest" path manifest then begin
+      if
+        write_json "manifest" path
+          (b.Vmht_eval.Experiment.manifest ~exit_code:code [ ("micro", micro) ])
+      then begin
         Printf.printf "wrote %s\n" path;
-        0
+        code
       end
       else exit_write_failed
   in
   Cmd.v
     (Cmd.info "snapshot"
        ~doc:
-         "Time every experiment, then report the synthesis-cache and pass \
-          counters and every micro-benchmark estimate.")
+         "Time every experiment, then report the synthesis-cache counters \
+          and every micro-benchmark estimate.")
     Term.(const action $ jobs $ json_out)
 
 let perf_micro_cmd =
@@ -1399,16 +1334,24 @@ let dse_cmd =
       & info [ "kernels" ] ~docv:"K1,K2"
           ~doc:"Kernels to explore (default: vecadd,saxpy,dotprod,stencil3).")
   in
-  let axis_arg name doc =
+  let axis_arg elt name doc =
     Arg.(
       value
-      & opt (some (list int)) None
+      & opt (some (list elt)) None
       & info [ name ] ~docv:"N1,N2" ~doc)
   in
-  let unrolls = axis_arg "unrolls" "Unroll factors to sweep (default: 1,2,4)." in
-  let banks = axis_arg "bank-counts" "Bank counts to sweep (default: 1,2,4)." in
-  let opts = axis_arg "opts" "Optimization levels to sweep (default: 0,2)." in
-  let tlbs = axis_arg "tlbs" "TLB entry counts to sweep (default: 8,32)." in
+  let unrolls =
+    axis_arg pos_int "unrolls" "Unroll factors to sweep (default: 1,2,4)."
+  in
+  let banks =
+    axis_arg pos_int "bank-counts" "Bank counts to sweep (default: 1,2,4)."
+  in
+  let opts =
+    axis_arg Arg.int "opts" "Optimization levels to sweep (default: 0,2)."
+  in
+  let tlbs =
+    axis_arg pos_int "tlbs" "TLB entry counts to sweep (default: 8,32)."
+  in
   let json_out =
     Arg.(
       value
@@ -1443,16 +1386,15 @@ let dse_cmd =
           Vmht_eval.Dse.tlbs = pick tlbs d.Vmht_eval.Dse.tlbs;
         }
       in
-      let points =
-        Vmht_eval.Dse.explore ~size ~axes ~kernels Vmht.Config.default
-      in
+      let config = Vmht.Config.default in
+      let points = Vmht_eval.Dse.explore ~size ~axes ~kernels config in
       print_string (Vmht_eval.Dse.render ~size points);
       print_newline ();
       match json_out with
       | Some path
         when not
                (write_json "manifest" path
-                  (Vmht_eval.Dse.manifest ~size points)) ->
+                  (Vmht_eval.Dse.manifest ~size ~config points)) ->
         exit_write_failed
       | Some _ | None -> 0
     end

@@ -108,6 +108,7 @@ let with_pipelining t pipeline_loops = { t with pipeline_loops }
    limit scales with the total port count.  [with_banks t 1] is the
    default flat memory (identical fingerprint). *)
 let with_banks t banks =
+  if banks < 1 then invalid_arg "Config.with_banks: banks must be >= 1";
   let m = t.resources.Vmht_hls.Schedule.mem in
   let ppb = m.Vmht_hls.Schedule.ports_per_bank in
   let mem =
@@ -233,6 +234,8 @@ let fingerprint (t : t) =
   Buffer.add_string b
     (match t.backend with Model -> "model;" | Rtl -> "rtl;");
   Buffer.contents b
+
+let digest t = Digest.to_hex (Digest.string (fingerprint t))
 
 let to_string t =
   Printf.sprintf

@@ -81,7 +81,8 @@ val with_banks : t -> int -> t
 (** Re-bank the scratchpad: [n] word-interleaved banks, keeping the
     current ports-per-bank; the outstanding-miss limit scales to
     [n * ports_per_bank].  [with_banks t 1] equals the default flat
-    memory and fingerprints identically. *)
+    memory and fingerprints identically.  Raises [Invalid_argument]
+    when [n < 1]. *)
 
 val accel_width : t -> int
 (** Simulator-side memory interface width of an accelerator: the max of
@@ -116,5 +117,9 @@ val fingerprint : t -> string
 (** A compact, injective rendering of every field, used (with the
     kernel and wrapper style) to key the synthesis cache.  Two configs
     fingerprint equally iff they are structurally equal. *)
+
+val digest : t -> string
+(** Hex MD5 of {!fingerprint}: the short config identity manifests
+    record. *)
 
 val to_string : t -> string

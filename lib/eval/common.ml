@@ -80,11 +80,10 @@ let par_map f xs =
 
 (* --- per-run performance recording --------------------------------- *)
 
-(* Every [run] records its simulated cycle count and host wall time
-   into process-wide histograms (and, when a batch driver installed
-   one with [with_run_stats], into a scoped recorder too — that is how
-   the bench harness gets per-experiment distributions).  Recording is
-   two histogram observes under one mutex per run — noise-free for the
+(* Every [run] inside [with_run_stats] records its simulated cycle
+   count and host wall time into the scoped recorder — that is how the
+   bench harness gets per-experiment distributions.  Recording is two
+   histogram observes under one mutex per run — noise-free for the
    experiments' printed output, which never reads these. *)
 
 module Histogram = Vmht_obs.Histogram
@@ -99,14 +98,10 @@ let fresh_run_stats () =
 
 let perf_mutex = Mutex.create ()
 
-let global_stats = fresh_run_stats () (* guarded by [perf_mutex] *)
-
-let scoped_stats : run_stats option ref = ref None (* guarded *)
+let scoped_stats : run_stats option ref = ref None (* guarded by [perf_mutex] *)
 
 let record_run ~cycles ~host_ns =
   Mutex.lock perf_mutex;
-  Histogram.observe global_stats.run_cycles cycles;
-  Histogram.observe global_stats.run_host_ns host_ns;
   (match !scoped_stats with
   | Some r ->
     Histogram.observe r.run_cycles cycles;
@@ -127,23 +122,6 @@ let with_run_stats f =
   in
   let v = Fun.protect ~finally:restore f in
   (v, r)
-
-let global_run_stats () =
-  Mutex.lock perf_mutex;
-  let r =
-    {
-      run_cycles = Histogram.copy global_stats.run_cycles;
-      run_host_ns = Histogram.copy global_stats.run_host_ns;
-    }
-  in
-  Mutex.unlock perf_mutex;
-  r
-
-let reset_run_stats () =
-  Mutex.lock perf_mutex;
-  Histogram.reset global_stats.run_cycles;
-  Histogram.reset global_stats.run_host_ns;
-  Mutex.unlock perf_mutex
 
 let run ?(config = Config.default) ?(seed = 42) ?trace_events ?(observe = false)
     mode (w : Workload.t) ~size =

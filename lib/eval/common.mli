@@ -38,22 +38,17 @@ type run_stats = {
 }
 
 val record_run : cycles:int -> host_ns:int -> unit
-(** Add one run to the per-run histograms (global and any scoped
-    recorder).  {!run} does this itself; experiments that drive
+(** Add one run to the scoped recorder's histograms, if one is
+    installed.  {!run} does this itself; experiments that drive
     {!Vmht.Launch} directly (multi-thread scaling, for instance) call
     it so the bench manifest still sees their runs. *)
 
 val with_run_stats : (unit -> 'a) -> 'a * run_stats
 (** Run the thunk with a scoped recorder installed: every {!run} that
     completes inside it (on any domain — the harness records under one
-    mutex) is added to the returned histograms as well as the global
-    ones.  The bench harness wraps each experiment in this to get
-    per-experiment distributions. *)
-
-val global_run_stats : unit -> run_stats
-(** A consistent copy of the process-wide per-run histograms. *)
-
-val reset_run_stats : unit -> unit
+    mutex) is added to the returned histograms.  The bench harness
+    wraps each experiment in this to get per-experiment
+    distributions. *)
 
 val mismatch_log : unit -> string list
 (** Workload/mode/size identifiers of every incorrect run since the

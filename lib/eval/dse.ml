@@ -152,10 +152,10 @@ let render ?(size = default_size) points =
          Table.render table)
        kernels)
 
-let manifest ?(size = default_size) points =
-  Json.Obj
+let manifest ?(size = default_size) ~config points =
+  Vmht_obs.Manifest.make ~schema:"vmht-dse/1" ~jobs:(Vmht_par.Parmap.jobs ())
+    ~config:(Vmht.Config.digest config)
     [
-      ("schema", Json.String "vmht-dse/1");
       ("mode", Json.String "vm");
       ("size", Json.Int size);
       ( "points",

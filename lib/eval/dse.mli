@@ -37,8 +37,10 @@ val explore :
 val render : ?size:int -> point list -> string
 (** One table per kernel: the front sorted by (cycles, LUT, knobs). *)
 
-val manifest : ?size:int -> point list -> Vmht_obs.Json.t
-(** The [vmht-dse/1] manifest: every point with its front flag. *)
+val manifest :
+  ?size:int -> config:Vmht.Config.t -> point list -> Vmht_obs.Json.t
+(** The [vmht-dse/1] manifest of a sweep from base [config]: every
+    point with its front flag. *)
 
 val run : Vmht.Config.t -> string
 (** The registered [dse1] experiment: explore + render the defaults. *)

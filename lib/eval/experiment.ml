@@ -13,7 +13,7 @@ type t = {
   run : Vmht.Config.t -> string;
 }
 
-(* Report order; every consumer (the CLI, run_all, help text) derives its
+(* Report order; every consumer (the CLI, bench, help text) derives its
    listing from this one place. *)
 let all =
   [
@@ -151,21 +151,126 @@ let all =
     };
   ]
 
-let names = List.map (fun e -> e.name) all
-
 let find name = List.find_opt (fun e -> e.name = name) all
 
 let by_kind kind = List.filter (fun e -> e.kind = kind) all
 
 let run ?(config = Vmht.Config.default) e = e.run config
 
-(* Experiments fan out across the domain pool (and, inside each, their
-   sweep points fan out again — [Common.par_map] nests safely).  The
-   rendered sections come back in registry order and mismatches merge
-   in submission order, so the output is byte-identical to a
-   sequential run. *)
-let run_all ?config () =
-  String.concat "\n"
-    (Common.par_map
-       (fun e -> Printf.sprintf "===== %s =====\n%s" e.name (run ?config e))
-       all)
+module Json = Vmht_obs.Json
+module Histogram = Vmht_obs.Histogram
+
+type bench = {
+  mismatches : string list;
+  manifest : exit_code:int -> (string * Json.t) list -> Json.t;
+}
+
+(* Experiments run one after another; each still fans its own sweep
+   points out across the domain pool, so outputs and the deterministic
+   manifest fields are the same at any width.  The process-wide
+   counters are read when the last experiment finishes, so nothing the
+   caller runs afterwards leaks into the manifest. *)
+let bench ?(config = Vmht.Config.default) ?(emit = fun _ _ _ -> ()) es =
+  Common.reset_mismatches ();
+  Vmht_ir.Pass_manager.reset_totals ();
+  Vmht_vm.Vm_totals.reset ();
+  let sched = Vmht.Config.schedule config in
+  let summary h = Histogram.summary_to_json (Histogram.summary h) in
+  let all_cycles = Histogram.create () and all_host_ns = Histogram.create () in
+  let t0 = Unix.gettimeofday () in
+  let experiment e =
+    let s0 = Unix.gettimeofday () in
+    let out, { Common.run_cycles; run_host_ns } =
+      Common.with_run_stats (fun () -> run ~config e)
+    in
+    let seconds = Unix.gettimeofday () -. s0 in
+    emit e out seconds;
+    Histogram.merge_into ~src:run_cycles ~dst:all_cycles;
+    Histogram.merge_into ~src:run_host_ns ~dst:all_host_ns;
+    let runs = Histogram.count run_cycles in
+    Json.Obj
+      [
+        ("name", Json.String e.name);
+        (* Experiments that execute nothing (area and synthesis-time
+           studies) have no per-run timing; the explicit kind tells the
+           perf gate that their missing ns_per_run is intentional. *)
+        ("kind", Json.String (if runs = 0 then "synthesis" else "run"));
+        ("seconds", Json.Float seconds);
+        ("runs", Json.Int runs);
+        ( "ns_per_run",
+          if runs = 0 then Json.Null
+          else Json.Float (seconds *. 1e9 /. float_of_int runs) );
+        ("cycles", summary run_cycles);
+        ("host_ns", summary run_host_ns);
+        ("output_bytes", Json.Int (String.length out));
+      ]
+  in
+  let experiments = List.map experiment es in
+  let total_seconds = Unix.gettimeofday () -. t0 in
+  let mismatches = Common.mismatch_log () in
+  let jobs = Vmht_par.Parmap.jobs () in
+  let vm = Vmht_vm.Vm_totals.totals () in
+  let cache = Vmht.Flow.cache_stats () in
+  let ints kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kvs) in
+  let fields =
+    [
+      ("seed", Json.Int config.Vmht.Config.seed);
+      ( "fault",
+        Json.String (Vmht_fault.Plan.to_string config.Vmht.Config.fault) );
+      ("fastpath", Json.Bool config.Vmht.Config.fastpath);
+      ("experiments", Json.List experiments);
+      ( "passes",
+        Json.Obj
+          [
+            ("schedule", Json.String sched.Vmht_ir.Pass_manager.sname);
+            ( "order",
+              Json.List
+                (List.map
+                   (fun (p : Vmht_ir.Pass.t) -> Json.String p.Vmht_ir.Pass.name)
+                   sched.Vmht_ir.Pass_manager.passes) );
+          ] );
+      ( "pass_stats",
+        Json.List
+          (List.map
+             (fun (pass, runs, rewrites) ->
+               Json.Obj
+                 [
+                   ("pass", Json.String pass);
+                   ("runs", Json.Int runs);
+                   ("rewrites", Json.Int rewrites);
+                 ])
+             (Vmht_ir.Pass_manager.totals ())) );
+      ( "vm",
+        Vmht_vm.Vm_totals.(
+          ints
+            [
+              ("tlb2.lookups", vm.tlb2_lookups);
+              ("tlb2.hits", vm.tlb2_hits);
+              ("tlb2.misses", vm.tlb2_lookups - vm.tlb2_hits);
+              ("tlb2.evictions", vm.tlb2_evictions);
+              ("walk_cache.hits", vm.walk_cache_hits);
+              ("walk_cache.misses", vm.walk_cache_misses);
+            ]) );
+      ( "run",
+        Json.Obj
+          [ ("cycles", summary all_cycles); ("host_ns", summary all_host_ns) ]
+      );
+      ("mismatches", Json.List (List.map (fun s -> Json.String s) mismatches));
+      ("total_seconds", Json.Float total_seconds);
+      ( "synthesis_cache",
+        ints
+          [
+            ("hits", cache.Vmht.Flow.cache_hits);
+            ("misses", cache.Vmht.Flow.cache_misses);
+            ("entries", cache.Vmht.Flow.cache_entries);
+          ] );
+    ]
+  in
+  {
+    mismatches;
+    manifest =
+      (fun ~exit_code extra ->
+        Vmht_obs.Manifest.make ~schema:"vmht-bench/3" ~jobs
+          ~config:(Vmht.Config.digest config)
+          (fields @ (("exit_code", Json.Int exit_code) :: extra)));
+  }

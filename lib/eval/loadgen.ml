@@ -158,7 +158,7 @@ let render (reqs : Proto.request list) (replies : Proto.reply list) =
   in
   Table.render table ^ totals
 
-let run ?store ~(server : Server.t) ~seed (reqs : Proto.request list) =
+let run ?store ~(server : Server.t) ~config ~seed (reqs : Proto.request list) =
   let t0 = Unix.gettimeofday () in
   let replies = Server.run_batch server reqs in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -177,13 +177,12 @@ let run ?store ~(server : Server.t) ~seed (reqs : Proto.request list) =
     if elapsed > 0. then float_of_int (List.length reqs) /. elapsed else 0.
   in
   let manifest =
-    Json.Obj
+    Vmht_obs.Manifest.make ~schema:"vmht-loadgen/1"
+      ~jobs:(Vmht_par.Parmap.jobs ()) ~config:(Vmht.Config.digest config)
       ([
-         ("schema", Json.String "vmht-loadgen/1");
          ("requests", Json.Int (List.length reqs));
          ("seed", Json.Int seed);
          ("shards", Json.Int (Server.shards server));
-         ("jobs", Json.Int (Vmht_par.Parmap.jobs ()));
          ("elapsed_s", Json.Float elapsed);
          ("throughput_rps", Json.Float throughput);
          ("latency_us", Vmht_obs.Histogram.summary_to_json stats.Server.latency);

@@ -39,8 +39,10 @@ type report = {
 val run :
   ?store:Vmht_serve.Store.t ->
   server:Vmht_serve.Server.t ->
+  config:Vmht.Config.t ->
   seed:int ->
   Vmht_serve.Proto.request list ->
   report
 (** Run one batch and build the report.  [store] only feeds the
-    manifest's store-counter section. *)
+    manifest's store-counter section; [config] is the base the mix was
+    drawn from, recorded as the manifest's config digest. *)

@@ -1,8 +1,8 @@
-(* Comparison of two bench manifests (vmht-bench-eval/1 or /2): the
-   regression gate behind [vmht perf diff].
+(* Comparison of two bench manifests (vmht-bench-eval/1, /2 or
+   vmht-bench/3): the regression gate behind [vmht perf diff].
 
    Metrics are extracted per experiment (wall seconds, ns/run, and —
-   in v2 manifests — the deterministic simulated-cycle percentiles)
+   from /2 on — the deterministic simulated-cycle percentiles)
    and per micro benchmark (ns/run), keyed by dotted names.  Only
    metrics present in both manifests are compared; everything else is
    reported as missing so a renamed experiment cannot silently drop

@@ -1,7 +1,7 @@
 (** Perf-regression gate: compare two bench manifests
-    ([vmht-bench-eval/1] or [/2]).
+    ([vmht-bench-eval/1], [/2] or [vmht-bench/3]).
 
-    Extracts per-experiment wall seconds, ns/run and (v2) simulated
+    Extracts per-experiment wall seconds, ns/run and (from /2 on) simulated
     cycle percentiles, plus micro-benchmark ns/run, and flags every
     metric that grew by at least the threshold percentage.  Metrics
     present in only one manifest are listed as [missing] rather than

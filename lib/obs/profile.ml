@@ -100,7 +100,7 @@ let totals () =
 
 let cycle_sum t = Array.fold_left ( + ) 0 t.cycles
 
-let to_json (t : totals) =
+let fields (t : totals) =
   let phase_obj p =
     let i = phase_index p in
     ( phase_name p,
@@ -110,16 +110,14 @@ let to_json (t : totals) =
           ("host_ms", Json.Float (t.host_ns.(i) /. 1e6));
         ] )
   in
-  Json.Obj
-    [
-      ("schema", Json.String "vmht-profile/1");
-      ("engines", Json.Int t.engines);
-      ("dispatches", Json.Int t.dispatches);
-      ("engine_cycles", Json.Int t.engine_cycles);
-      ("cycle_sum", Json.Int (cycle_sum t));
-      ("phases", Json.Obj (List.map phase_obj all_phases));
-      ("dispatch_batch", Histogram.summary_to_json (Histogram.summary t.batch));
-    ]
+  [
+    ("engines", Json.Int t.engines);
+    ("dispatches", Json.Int t.dispatches);
+    ("engine_cycles", Json.Int t.engine_cycles);
+    ("cycle_sum", Json.Int (cycle_sum t));
+    ("phases", Json.Obj (List.map phase_obj all_phases));
+    ("dispatch_batch", Histogram.summary_to_json (Histogram.summary t.batch));
+  ]
 
 let render (t : totals) =
   let buf = Buffer.create 512 in

@@ -55,7 +55,9 @@ val cycle_sum : totals -> int
 (** Sum of the per-phase cycles; equals [engine_cycles] by
     construction. *)
 
-val to_json : totals -> Json.t
+val fields : totals -> (string * Json.t) list
+(** The profile's manifest fields (the [vmht-profile/1] body, after
+    the {!Manifest} header). *)
 
 val render : totals -> string
 (** Phase table plus the dispatch-batch summary. *)

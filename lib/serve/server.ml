@@ -143,7 +143,7 @@ let expired_outcome (req : Proto.request) =
 let is_expired ~batch_t0 (req : Proto.request) =
   match req.Proto.deadline_ms with
   | None -> false
-  | Some d -> (now () -. batch_t0) *. 1000. > float_of_int d
+  | Some d -> (now () -. batch_t0) *. 1000. >= float_of_int d
 
 let count_outcome (t : t) = function
   | Proto.Failed _ -> t.failed <- t.failed + 1

@@ -1,7 +1,7 @@
 (* Process-wide translation-hierarchy totals.
 
    Each SoC flushes its L2-TLB and walk-cache counter deltas here when a
-   run completes; the bench CLI reads the sums for its manifest.  Plain
+   run completes; [Experiment.bench] reads the sums for its manifest.  Plain
    integer sums over atomics are order-independent, so the totals are
    identical at any domain-pool width. *)
 

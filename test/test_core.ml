@@ -24,6 +24,16 @@ let test_config_with_page_shift () =
   let c = Config.with_page_shift Config.default 14 in
   check_int "shift" 14 c.Config.page_shift
 
+let test_config_with_banks () =
+  check_bool "one bank is the default" true
+    (Config.with_banks Config.default 1 = Config.default);
+  List.iter
+    (fun n ->
+      match Config.with_banks Config.default n with
+      | _ -> Alcotest.failf "with_banks %d accepted" n
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
+
 let test_config_to_string () =
   check_bool "renders" true (String.length (Config.to_string Config.default) > 10)
 
@@ -255,6 +265,8 @@ let suite =
     Alcotest.test_case "config: with_tlb_entries" `Quick test_config_with_tlb;
     Alcotest.test_case "config: with_page_shift" `Quick
       test_config_with_page_shift;
+    Alcotest.test_case "config: with_banks rejects < 1" `Quick
+      test_config_with_banks;
     Alcotest.test_case "config: to_string" `Quick test_config_to_string;
     Alcotest.test_case "wrapper: vm area grows with tlb" `Quick
       test_vm_area_grows_with_tlb;

@@ -80,6 +80,44 @@ let test_par_map_ordered () =
         (List.init 200 (fun i -> i * i))
         (Common.par_map (fun i -> i * i) (List.init 200 Fun.id)))
 
+(* The bench manifest's deterministic parts: each experiment's run
+   count, cycle distribution and output size, plus the pass, translation
+   and mismatch totals.  The memo cache is cleared first so both widths
+   synthesize (and count passes) from the same cold start. *)
+let bench_deterministic_parts jobs =
+  at_width jobs (fun () ->
+      Flow.reset_cache ();
+      let es =
+        List.filter_map Vmht_eval.Experiment.find [ "table3"; "abl2" ]
+      in
+      let b = Vmht_eval.Experiment.bench es in
+      let j = b.Vmht_eval.Experiment.manifest ~exit_code:0 [] in
+      let module J = Vmht_obs.Json in
+      let get k j = Option.get (J.member k j) in
+      let per_experiment e =
+        List.map
+          (fun k -> J.to_string (get k e))
+          [ "runs"; "cycles"; "output_bytes" ]
+      in
+      List.concat_map per_experiment
+        (Option.get (J.to_list (get "experiments" j)))
+      @ List.map
+          (fun k -> J.to_string (get k j))
+          [ "pass_stats"; "vm"; "mismatches" ])
+
+let test_bench_manifest_width_independent () =
+  Alcotest.(check (list string))
+    "bench manifest: deterministic parts at -j 1 = -j 2"
+    (bench_deterministic_parts 1) (bench_deterministic_parts 2)
+
+let test_config_digest () =
+  let d = Vmht.Config.digest in
+  let base = Vmht.Config.default in
+  check_string "equal configs, equal digests" (d base)
+    (d (Vmht.Config.with_seed base base.Vmht.Config.seed));
+  Alcotest.(check bool) "a different seed, a different digest" false
+    (d base = d (Vmht.Config.with_seed base 43))
+
 (* --- synthesis cache ---------------------------------------------- *)
 
 let workload_names = [ "vecadd"; "saxpy"; "dotprod"; "list_sum"; "spmv" ]
@@ -262,6 +300,10 @@ let suite =
     Alcotest.test_case "report JSON: width-independent" `Quick
       test_report_json_width_independent;
     Alcotest.test_case "par_map: submission order" `Quick test_par_map_ordered;
+    Alcotest.test_case "bench manifest: width-independent" `Slow
+      test_bench_manifest_width_independent;
+    Alcotest.test_case "config digest: equal iff configs equal" `Quick
+      test_config_digest;
     Alcotest.test_case "cache: counters, reuse, bypass" `Quick
       test_cache_counters;
     Alcotest.test_case "cache: concurrent single flight" `Quick

@@ -89,6 +89,21 @@ let test_json_write_file () =
           (String.length msg >= String.length missing
           && String.sub msg 0 (String.length missing) = missing))
 
+let test_manifest_header () =
+  let fields = [ ("b", Json.Int 2); ("a", Json.String "x") ] in
+  match Manifest.make ~schema:"test/1" ~jobs:3 ~config:"c0ffee" fields with
+  | Json.Obj kvs ->
+    Alcotest.(check (list string))
+      "header first, caller's fields after, in order"
+      [ "schema"; "git_rev"; "jobs"; "config"; "b"; "a" ]
+      (List.map fst kvs);
+    check_bool "header values" true
+      (List.assoc "schema" kvs = Json.String "test/1"
+      && List.assoc "jobs" kvs = Json.Int 3
+      && List.assoc "config" kvs = Json.String "c0ffee");
+    check_bool "fields kept" true (List.assoc "a" kvs = Json.String "x")
+  | _ -> Alcotest.fail "manifest is not an object"
+
 (* ------------------------- Metrics -------------------------------- *)
 
 let test_histogram_buckets () =
@@ -518,7 +533,9 @@ let test_profile_exact_attribution_end_to_end () =
       check_bool "memory attributed" true
         (t.Profile.cycles.(Profile.phase_index Profile.Memory) > 0);
       (* JSON export parses back and carries all four phases. *)
-      let json = Json.of_string (Json.to_string (Profile.to_json t)) in
+      let json =
+        Json.of_string (Json.to_string (Json.Obj (Profile.fields t)))
+      in
       match Json.member "phases" json with
       | Some (Json.Obj phases) -> check_int "four phases" 4 (List.length phases)
       | _ -> Alcotest.fail "phases object missing")
@@ -593,6 +610,7 @@ let suite =
     Alcotest.test_case "json: escapes" `Quick test_json_escapes;
     Alcotest.test_case "json: parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "json: write_file" `Quick test_json_write_file;
+    Alcotest.test_case "manifest: header order" `Quick test_manifest_header;
     Alcotest.test_case "metrics: bucket boundaries" `Quick
       test_histogram_buckets;
     Alcotest.test_case "metrics: histogram snapshot" `Quick
