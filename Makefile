@@ -25,7 +25,6 @@ examples:
 	dune exec examples/pointer_chasing.exe
 	dune exec examples/multi_thread_pipeline.exe
 	dune exec examples/tlb_tuning.exe
-	dune exec examples/pipelined_stream.exe
 	dune exec examples/isolation.exe
 
 clean:

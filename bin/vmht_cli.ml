@@ -34,6 +34,15 @@ let frontend_error err =
   Printf.eprintf "error: %s\n" (Vmht.Flow.error_to_string err);
   exit_frontend
 
+(* A workload too large for the configured memory is a user error, not
+   a crash: [run] and [trace] report it the same way and exit 1. *)
+let with_fitting_run run k =
+  match run () with
+  | exception Vmht_vm.Addr_space.Does_not_fit msg ->
+    Printf.eprintf "error: %s\n" msg;
+    1
+  | o -> k o
+
 let with_program file f =
   match Vmht.Flow.frontend_program (read_file file) with
   | Error err -> frontend_error err
@@ -246,15 +255,8 @@ let synth_cmd =
     Arg.(
       value & flag & info [ "verilog" ] ~doc:"Print the generated RTL too.")
   in
-  let pipeline =
-    Arg.(value & flag & info [ "pipeline" ] ~doc:"Modulo-schedule inner loops.")
-  in
-  let action file iface unroll banks emit_rtl pipeline opt_level passes =
-    let config =
-      Vmht.Config.with_pipelining
-        (Vmht.Config.with_unroll Vmht.Config.default unroll)
-        pipeline
-    in
+  let action file iface unroll banks emit_rtl opt_level passes =
+    let config = Vmht.Config.with_unroll Vmht.Config.default unroll in
     let config = Vmht.Config.with_banks config banks in
     let config = config_with_opt config opt_level passes in
     with_schedule config (fun _sched ->
@@ -277,7 +279,7 @@ let synth_cmd =
        ~doc:"Synthesize hardware threads (HLS + interface wrapper).")
     Term.(
       const action $ file $ iface $ unroll_arg $ banks_arg $ emit_rtl
-      $ pipeline $ opt_level_arg $ passes_arg)
+      $ opt_level_arg $ passes_arg)
 
 (* ------------------------- run ------------------------------------ *)
 
@@ -339,9 +341,6 @@ let run_cmd =
              attribution) as JSON: with no argument on stdout, replacing \
              the usual summary; with $(docv), written there alongside it.")
   in
-  let pipeline =
-    Arg.(value & flag & info [ "pipeline" ] ~doc:"Modulo-schedule inner loops.")
-  in
   let spans_out =
     Arg.(
       value
@@ -352,18 +351,11 @@ let run_cmd =
              simulate) and write them as Chrome-trace JSON to $(docv).")
   in
   let action wname mode size tlb tlb2 walk_cache page_shift stats trace_n
-      trace_out metrics_json spans_out pipeline unroll banks no_fastpath
+      trace_out metrics_json spans_out unroll banks no_fastpath
       backend opt_level passes =
     match Vmht_workloads.Registry.find wname with
     | exception Not_found ->
       Printf.eprintf "unknown workload '%s' (try: vmht list)\n" wname;
-      1
-    | _ when backend = Vmht.Config.Rtl && pipeline ->
-      (* The emitted FSM is unpipelined; fail up front rather than from
-         the middle of a launch. *)
-      Printf.eprintf
-        "--backend rtl does not support --pipeline (the emitted FSM is \
-         unpipelined)\n";
       1
     | w ->
       let config = config_with_opt Vmht.Config.default opt_level passes in
@@ -382,17 +374,16 @@ let run_cmd =
         | Some shift -> Vmht.Config.with_page_shift config shift
         | None -> config
       in
-      let config = Vmht.Config.with_pipelining config pipeline in
       with_schedule config @@ fun _sched ->
       let size =
         Option.value ~default:w.Vmht_workloads.Workload.default_size size
       in
       let observe = Option.is_some trace_out || Option.is_some metrics_json in
       if Option.is_some spans_out then Vmht_obs.Span.enable true;
-      let o =
-        Vmht_eval.Common.run ~config ?trace_events:trace_n ~observe mode w
-          ~size
-      in
+      with_fitting_run (fun () ->
+          Vmht_eval.Common.run ~config ?trace_events:trace_n ~observe mode w
+            ~size)
+      @@ fun o ->
       let r = o.Vmht_eval.Common.result in
       let trace_ok =
         match trace_out with
@@ -486,7 +477,7 @@ let run_cmd =
     Term.(
       const action $ workload_arg $ mode_arg $ size_arg $ tlb $ tlb2_arg
       $ walk_cache_arg $ page_shift $ stats $ trace_n $ trace_out
-      $ metrics_json $ spans_out $ pipeline $ unroll_arg $ banks_arg
+      $ metrics_json $ spans_out $ unroll_arg $ banks_arg
       $ no_fastpath_arg $ backend_arg $ opt_level_arg $ passes_arg)
 
 (* ------------------------- trace ---------------------------------- *)
@@ -531,7 +522,9 @@ let trace_cmd =
         Option.value ~default:w.Vmht_workloads.Workload.default_size size
       in
       let config = with_translation Vmht.Config.default tlb2 walk_cache in
-      let o = Vmht_eval.Common.run ~config ~observe:true mode w ~size in
+      with_fitting_run (fun () ->
+          Vmht_eval.Common.run ~config ~observe:true mode w ~size)
+      @@ fun o ->
       let tr = Vmht.Soc.trace o.Vmht_eval.Common.soc in
       (* "--component mmu" matches every numbered instance ("mmu",
          "mmu1", ...); an exact instance name still selects just it. *)

@@ -14,7 +14,6 @@ type t = {
   cache : Vmht_mem.Cache.config;
   resources : Vmht_hls.Schedule.resources;
   unroll : int;
-  pipeline_loops : bool;
   accel_mem_ports : int;
   mmu : Vmht_vm.Mmu.config;
   tlb2 : Vmht_vm.Tlb2.config;
@@ -47,7 +46,6 @@ let default =
         Vmht_hls.Schedule.mem = Vmht_hls.Schedule.flat_mem 2;
       };
     unroll = 1;
-    pipeline_loops = false;
     accel_mem_ports = 2;
     mmu = Vmht_vm.Mmu.default_config;
     tlb2 = Vmht_vm.Tlb2.default_config;
@@ -100,8 +98,6 @@ let with_walk_cache t entries =
 let with_page_shift t page_shift = { t with page_shift }
 
 let with_unroll t unroll = { t with unroll }
-
-let with_pipelining t pipeline_loops = { t with pipeline_loops }
 
 (* Re-bank the scratchpad, keeping per-bank porting: [n] word-interleaved
    banks, each with the current ports-per-bank; the outstanding-miss
@@ -189,7 +185,6 @@ let fingerprint (t : t) =
     i m.Vmht_hls.Schedule.interleave_shift;
     i m.Vmht_hls.Schedule.miss_limit));
   i t.unroll;
-  f t.pipeline_loops;
   i t.accel_mem_ports;
   (let m = t.mmu in
    i m.Vmht_vm.Mmu.tlb.Vmht_vm.Tlb.entries;

@@ -19,8 +19,6 @@ type t = {
   (* --- HLS --- *)
   resources : Vmht_hls.Schedule.resources;
   unroll : int;
-  pipeline_loops : bool;
-      (** modulo-schedule eligible inner loops (extension mode) *)
   accel_mem_ports : int; (** concurrent outstanding accesses per thread *)
   (* --- VM interface wrapper --- *)
   mmu : Vmht_vm.Mmu.config;
@@ -74,8 +72,6 @@ val with_walk_cache : t -> int -> t
 val with_page_shift : t -> int -> t
 
 val with_unroll : t -> int -> t
-
-val with_pipelining : t -> bool -> t
 
 val with_banks : t -> int -> t
 (** Re-bank the scratchpad: [n] word-interleaved banks, keeping the

@@ -25,7 +25,6 @@ let synthesize_uncached (config : Config.t) style kernel =
     Vmht_obs.Span.with_span ~cat:"flow" "schedule" (fun () ->
         Fsm.synthesize ~resources:config.Config.resources
           ~unroll:config.Config.unroll
-          ~pipeline:config.Config.pipeline_loops
           ~schedule:(Config.schedule config) kernel)
   in
   let wrapper_area = Wrapper.area config style in

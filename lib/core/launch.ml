@@ -62,11 +62,6 @@ let exec_thread soc (hw : Flow.hw_thread) ~stats ~port ~args =
       ~ports:(Config.accel_width cfg) ~fastpath:cfg.Config.fastpath
       hw.Flow.fsm ~port ~args
   | Config.Rtl ->
-    if hw.Flow.fsm.Vmht_hls.Fsm.plans <> [] then
-      invalid_arg
-        "Launch: the rtl backend does not support pipelined schedules \
-         (the emitted FSM is unpipelined); drop --pipeline or use the \
-         model backend";
     let m = Vmht_rtl.Parse.parse_memo hw.Flow.verilog in
     let out = Vmht_rtl.Eval.run ~stats ~ports:(Config.accel_width cfg) m ~port ~args in
     let returns_value =

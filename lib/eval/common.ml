@@ -128,6 +128,15 @@ let run ?(config = Config.default) ?(seed = 42) ?trace_events ?(observe = false)
   Vmht_obs.Span.with_span ~cat:"eval"
     (Printf.sprintf "run:%s/%s" w.Workload.name (mode_name mode))
     (fun () ->
+  (* Reject before anything is allocated: set-up would build host
+     arrays of [size] words first. *)
+  if size > config.Config.phys_bytes / Vmht_mem.Phys_mem.word_bytes then
+    raise
+      (Addr_space.Does_not_fit
+         (Printf.sprintf
+            "size %d does not fit: its words alone exceed the %d-byte \
+             physical memory"
+            size config.Config.phys_bytes));
   let host_t0 = Unix.gettimeofday () in
   let soc = Soc.create config in
   if observe || Option.is_some trace_events then Soc.enable_tracing soc;

@@ -28,7 +28,11 @@ val run :
     the SoC trace before running (the value is advisory — the trace's
     own capacity bounds retention); [observe] (default false) does the
     same without implying the CLI's textual dump — both turn typed
-    event observation on via {!Vmht.Soc.enable_tracing}. *)
+    event observation on via {!Vmht.Soc.enable_tracing}.
+
+    Raises {!Vmht_vm.Addr_space.Does_not_fit} when the workload does not
+    fit the configured memory: [size] words alone exceed [phys_bytes],
+    or set-up runs out of virtual address space or frames. *)
 
 (** {2 Per-run performance recording} *)
 

@@ -109,7 +109,7 @@ let all =
     };
     {
       name = "abl4";
-      doc = "loop pipelining on vs off, achieved II";
+      doc = "loop pipelining: static II estimate beside measured FSM cycles";
       kind = Ablation;
       run = Abl4.run;
     };

@@ -31,13 +31,15 @@ let handle (req : Proto.request) =
         | Proto.Vm -> Common.Vm
         | Proto.Dma -> Common.Dma
       in
-      let o = Common.run ~config mode w ~size in
-      Proto.Executed
-        {
-          cycles = Common.cycles o;
-          correct = o.Common.correct;
-          ret = o.Common.result.Launch.ret;
-        })
+      match Common.run ~config mode w ~size with
+      | exception Vmht_vm.Addr_space.Does_not_fit msg -> Proto.Failed msg
+      | o ->
+        Proto.Executed
+          {
+            cycles = Common.cycles o;
+            correct = o.Common.correct;
+            ret = o.Common.result.Launch.ret;
+          })
 
 let mix ~config ~requests ~seed =
   let rng = Random.State.make [| 0x10adc3; seed |] in

@@ -137,58 +137,7 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) ?(fastpath = true)
     stats.fsm_cycles <- stats.fsm_cycles + n;
     Engine.wait n
   in
-  (* Sequential functional execution of one instruction, used by the
-     software-pipelined loop path: results are exact (program order);
-     only memory advances simulated time — compute time is charged at
-     the initiation-interval granularity by the caller. *)
-  let exec_seq instr =
-    match instr with
-    | Ir.Bin (op, d, x, y) ->
-      regs.(d) <- Ast_interp.eval_binop op (value x) (value y)
-    | Ir.Un (op, d, x) -> regs.(d) <- Ast_interp.eval_unop op (value x)
-    | Ir.Mov (d, x) -> regs.(d) <- value x
-    | Ir.Load (d, addr) ->
-      stats.loads <- stats.loads + 1;
-      regs.(d) <- port.load (value addr)
-    | Ir.Store (addr, v) ->
-      stats.stores <- stats.stores + 1;
-      port.store (value addr) (value v)
-  in
-  (* Run a modulo-scheduled loop: one iteration initiates every II
-     cycles once the pipeline is full; iterations whose memory exceeds
-     the II stall the pipeline for the difference. *)
-  let exec_pipelined (plan : Pipeliner.plan) =
-    let header = Ir.find_block f plan.Pipeliner.header in
-    let body = Ir.find_block f plan.Pipeliner.body in
-    let cond =
-      match header.Ir.term with
-      | Ir.Br (c, _, _) -> c
-      | Ir.Jmp _ | Ir.Ret _ -> assert false
-    in
-    Engine.wait (max 0 (plan.Pipeliner.depth - plan.Pipeliner.ii));
-    let rec iterate () =
-      let t0 = Engine.now_p () in
-      stats.block_visits <- stats.block_visits + 1;
-      List.iter exec_seq header.Ir.instrs;
-      if value cond <> 0 then begin
-        stats.block_visits <- stats.block_visits + 1;
-        List.iter exec_seq body.Ir.instrs;
-        let elapsed = Engine.now_p () - t0 in
-        Engine.wait (max 0 (plan.Pipeliner.ii - elapsed));
-        stats.fsm_cycles <- stats.fsm_cycles + max plan.Pipeliner.ii elapsed;
-        iterate ()
-      end
-    in
-    iterate ();
-    plan.Pipeliner.exit
-  in
-  let plan_for label =
-    List.find_opt
-      (fun (p : Pipeliner.plan) -> p.Pipeliner.header = label)
-      hw.Fsm.plans
-  in
-  (* One FSM-state event per block entry (a pipelined region counts as
-     one state spanning all its iterations), with the measured span. *)
+  (* One FSM-state event per block entry, with the measured span. *)
   let observe_block label body =
     match observer with
     | None -> body ()
@@ -201,26 +150,22 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) ?(fastpath = true)
       r
   in
   let rec exec_block label =
-    match plan_for label with
-    | Some plan ->
-      exec_block (observe_block label (fun () -> exec_pipelined plan))
-    | None ->
-      stats.block_visits <- stats.block_visits + 1;
-      let b = Hashtbl.find sched_blocks label in
-      let steps = compiled_for label b in
-      observe_block label (fun () ->
-          Array.iter
-            (fun (step : Fsm.Trace.step) ->
-              match step with
-              | Fsm.Trace.Mem ids -> exec_cycle b ids
-              | Fsm.Trace.Pure cycles ->
-                if fastpath then exec_pure_fused b cycles
-                else Array.iter (exec_cycle b) cycles)
-            steps);
-      let ir_block = Ir.find_block f label in
-      (match ir_block.Ir.term with
-       | Ir.Jmp l -> exec_block l
-       | Ir.Br (c, l1, l2) -> exec_block (if value c <> 0 then l1 else l2)
-       | Ir.Ret v -> Option.map value v)
+    stats.block_visits <- stats.block_visits + 1;
+    let b = Hashtbl.find sched_blocks label in
+    let steps = compiled_for label b in
+    observe_block label (fun () ->
+        Array.iter
+          (fun (step : Fsm.Trace.step) ->
+            match step with
+            | Fsm.Trace.Mem ids -> exec_cycle b ids
+            | Fsm.Trace.Pure cycles ->
+              if fastpath then exec_pure_fused b cycles
+              else Array.iter (exec_cycle b) cycles)
+          steps);
+    let ir_block = Ir.find_block f label in
+    match ir_block.Ir.term with
+    | Ir.Jmp l -> exec_block l
+    | Ir.Br (c, l1, l2) -> exec_block (if value c <> 0 then l1 else l2)
+    | Ir.Ret v -> Option.map value v
   in
   exec_block (Ir.entry f).Ir.label

@@ -45,9 +45,7 @@ val run :
     simulation process; simulated time advances as it runs.
 
     [observer] receives one {!Vmht_obs.Event.kind.Fsm_state} event per
-    basic-block entry, spanning the block's execution; a
-    software-pipelined loop region emits a single event covering all
-    its iterations.
+    basic-block entry, spanning the block's execution.
 
     [fastpath] (default [true]) executes blocks through their
     trace-compiled form ({!Fsm.Trace}): runs of memory-free FSM states

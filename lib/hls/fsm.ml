@@ -40,7 +40,7 @@ let datapath_area (binding : Bind.t) ~states =
           (Optypes.fsm_area ~states)))
 
 let synthesize ?(resources = Schedule.default_resources) ?(unroll = 1)
-    ?(pipeline = false) ?schedule:opt_schedule kernel =
+    ?schedule:opt_schedule kernel =
   Typecheck.check_kernel kernel;
   let kernel', unrolled_loops = Ast_unroll.unroll_kernel ~factor:unroll kernel in
   let func = Lower.lower_kernel kernel' in
@@ -51,29 +51,13 @@ let synthesize ?(resources = Schedule.default_resources) ?(unroll = 1)
   let schedule = Schedule.schedule_func ~resources func in
   let binding = Bind.bind schedule in
   let states = Schedule.total_states schedule in
-  let plans =
-    if pipeline then Pipeliner.plan_loops func ~resources else []
-  in
-  (* Overlapped iterations keep more values in flight: account one
-     extra register set per pipeline stage of each pipelined loop. *)
-  let pipeline_regs =
-    List.fold_left
-      (fun acc (p : Pipeliner.plan) ->
-        acc + (binding.Bind.reg_count * (p.Pipeliner.depth / max 1 p.Pipeliner.ii)))
-      0 plans
-  in
-  let area =
-    Optypes.add_area
-      (datapath_area binding ~states)
-      (Optypes.register_area pipeline_regs)
-  in
   {
     name = kernel.Ast.kname;
     func;
     schedule;
     binding;
-    area;
-    plans;
+    area = datapath_area binding ~states;
+    plans = [];
     stats =
       {
         ir_instrs = Ir.instr_count func;
@@ -82,7 +66,7 @@ let synthesize ?(resources = Schedule.default_resources) ?(unroll = 1)
         reg_count = binding.Bind.reg_count;
         opt_report;
         unrolled_loops;
-        pipelined_loops = List.length plans;
+        pipelined_loops = 0;
       };
   }
 

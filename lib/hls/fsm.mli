@@ -12,7 +12,7 @@ type stats = {
   reg_count : int;
   opt_report : Vmht_ir.Pass_manager.report;
   unrolled_loops : int;
-  pipelined_loops : int;
+  pipelined_loops : int;  (** always [0]: loops execute unpipelined *)
 }
 
 type t = {
@@ -22,15 +22,14 @@ type t = {
   binding : Bind.t;
   area : Optypes.area;
   plans : Pipeliner.plan list;
-      (** modulo-scheduled loops ([] unless synthesized with
-          [~pipeline:true]) *)
+      (** always [[]]: synthesis emits no modulo-scheduled loops
+          ({!Pipeliner} is a static estimate, run on [func]) *)
   stats : stats;
 }
 
 val synthesize :
   ?resources:Schedule.resources ->
   ?unroll:int ->
-  ?pipeline:bool ->
   ?schedule:Vmht_ir.Pass_manager.schedule ->
   Vmht_lang.Ast.kernel ->
   t

@@ -392,7 +392,3 @@ let plan_loops (f : Ir.func) ~resources =
   List.filter_map
     (fun (h, b, exit_l) -> plan_loop ~roots resources h b exit_l)
     (find_candidate_loops f)
-
-let to_string p =
-  Printf.sprintf "loop L%d/L%d: II=%d depth=%d (FSM iteration %d cycles)"
-    p.header p.body p.ii p.depth p.unpipelined_cycles

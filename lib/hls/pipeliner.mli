@@ -1,5 +1,7 @@
-(** Loop pipelining by (simplified) iterative modulo scheduling — the
-    flow's optional extension mode.
+(** Loop pipelining by (simplified) iterative modulo scheduling, as a
+    static analysis.  Synthesis never applies a plan: the emitted FSM
+    and both executors run loops unpipelined.  The plans feed the
+    [abl4] estimate only.
 
     For every innermost loop of the canonical two-block shape
 
@@ -28,11 +30,8 @@
       in LANGUAGE.md).  Loop-carried load/store chains therefore bound
       the II through [rec_mii] like register recurrences do.
 
-    Execution stays functionally sequential (so results are exact
-    regardless of the plan); the accelerator charges [max(II, actual
-    memory time)] per iteration plus a one-time fill of [depth - II],
-    which is the standard throughput model of a modulo-scheduled
-    loop. *)
+    [unpipelined_cycles / ii] bounds what overlapping iterations could
+    gain per iteration; no cycle count is simulated from a plan. *)
 
 type plan = {
   header : Vmht_ir.Ir.label;
@@ -52,5 +51,3 @@ val plan_loops :
   Vmht_ir.Ir.func -> resources:Schedule.resources -> plan list
 (** Plans for every pipelinable loop where pipelining helps
     ([ii < unpipelined_cycles]). *)
-
-val to_string : plan -> string

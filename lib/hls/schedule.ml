@@ -443,8 +443,6 @@ let max_concurrency t cls =
       Hashtbl.fold (fun _ v acc -> max acc v) per_cycle acc)
     0 t.blocks
 
-let critical_path_of_block b = b.makespan
-
 let validate t =
   let fail fmt = Printf.ksprintf failwith fmt in
   let roots = Bank.stable_args t.func in

@@ -128,8 +128,6 @@ val max_concurrency : t -> Optypes.op_class -> int
 (** Peak number of same-class operations in any single cycle — the
     number of functional units binding must provide. *)
 
-val critical_path_of_block : block_schedule -> int
-
 val dependence_edges :
   ?addrs:Bank.addr option array ->
   Vmht_ir.Ir.instr array ->

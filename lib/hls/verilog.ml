@@ -291,11 +291,6 @@ let emit_with_wrapper (hw : Fsm.t) ~wrapper_ports =
           "// memory: %d word-interleaved bank(s) x %d port(s), %d \
            channel(s)\n"
           m.Schedule.banks m.Schedule.ports_per_bank (mem_channel_count hw)));
-  List.iter
-    (fun plan ->
-      Buffer.add_string buf
-        (Printf.sprintf "// pipelined %s\n" (Pipeliner.to_string plan)))
-    hw.Fsm.plans;
   Buffer.add_string buf (Printf.sprintf "module ht_%s (\n" hw.Fsm.name);
   Buffer.add_string buf
     ("  " ^ String.concat ",\n  " (module_ports hw wrapper_ports) ^ "\n);\n");

@@ -39,8 +39,6 @@ let counter_value c = c.count
 
 let set_gauge g v = g.value <- v
 
-let gauge_value g = g.value
-
 let bucket_index = Histogram.bucket_index
 
 let bucket_upper = Histogram.bucket_upper

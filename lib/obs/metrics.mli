@@ -35,8 +35,6 @@ val counter_value : counter -> int
 
 val set_gauge : gauge -> float -> unit
 
-val gauge_value : gauge -> float
-
 val observe : histogram -> int -> unit
 (** Record one sample (clamped below at 0). *)
 

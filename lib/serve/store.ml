@@ -191,10 +191,3 @@ let hit_rate t =
   let s = stats t in
   let probes = s.hits + s.misses + s.corrupt + s.version_skew in
   if probes = 0 then 0. else float_of_int s.hits /. float_of_int probes
-
-let reset_stats (t : t) =
-  Atomic.set t.hits 0;
-  Atomic.set t.misses 0;
-  Atomic.set t.saves 0;
-  Atomic.set t.corrupt 0;
-  Atomic.set t.version_skew 0

@@ -13,15 +13,11 @@ val push : 'a t -> at:int -> 'a -> unit
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the earliest event, [None] if empty. *)
 
-val peek_time : 'a t -> int option
-(** Timestamp of the earliest event without removing it. *)
-
 (** {2 Allocation-free variants}
 
     The engine's dispatch loop pops millions of events per run; these
-    avoid the option/tuple boxing of {!pop} and {!peek_time}.  Both
-    raise [Invalid_argument] on an empty queue — guard with
-    {!is_empty}. *)
+    avoid the option/tuple boxing of {!pop}.  Both raise
+    [Invalid_argument] on an empty queue — guard with {!is_empty}. *)
 
 val min_time_exn : 'a t -> int
 (** Timestamp of the earliest event. *)

@@ -6,6 +6,7 @@ type t = {
   mem : Phys_mem.t;
   frames : Frame_alloc.t;
   pt : Page_table.t;
+  va_bits : int;
   mutable regions : region list;
   mutable next_vaddr : int;
   mutable faulted_pages : int;
@@ -13,12 +14,15 @@ type t = {
 
 exception Segfault of int
 
+exception Does_not_fit of string
+
 let create mem frames ~page_shift ~va_bits =
   let pt = Page_table.create mem frames ~page_shift ~va_bits in
   {
     mem;
     frames;
     pt;
+    va_bits;
     regions = [];
     (* Skip page 0 so that address 0 stays null. *)
     next_vaddr = 1 lsl page_shift;
@@ -42,6 +46,16 @@ let alloc ?(lazy_ = false) t ~bytes =
   let page = page_bytes t in
   let base = t.next_vaddr in
   let len = Vmht_util.Bits.align_up bytes page in
+  if base + len > 1 lsl t.va_bits then
+    raise
+      (Does_not_fit
+         (Printf.sprintf
+            "a %d-byte region at 0x%x does not fit the %d-bit virtual \
+             address space"
+            len base t.va_bits));
+  let free =
+    Frame_alloc.capacity t.frames - Frame_alloc.allocated_count t.frames
+  in
   t.next_vaddr <- base + len;
   t.regions <- { base; bytes = len; lazy_ } :: t.regions;
   if not lazy_ then begin
@@ -51,7 +65,14 @@ let alloc ?(lazy_ = false) t ~bytes =
         map_pages (va + page)
       end
     in
-    map_pages base
+    try map_pages base
+    with Frame_alloc.Out_of_frames ->
+      raise
+        (Does_not_fit
+           (Printf.sprintf
+              "a %d-byte region does not fit physical memory (%d of %d \
+               frames of %d bytes free)"
+              len free (Frame_alloc.capacity t.frames) page))
   end;
   base
 
@@ -59,9 +80,6 @@ let region_of t vaddr =
   List.find_opt
     (fun r -> vaddr >= r.base && vaddr < r.base + r.bytes)
     t.regions
-
-let is_lazy_region t vaddr =
-  match region_of t vaddr with Some r -> r.lazy_ | None -> false
 
 let handle_fault t ~vaddr =
   match region_of t vaddr with

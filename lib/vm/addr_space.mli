@@ -14,6 +14,11 @@ type t
 exception Segfault of int
 (** Raised by untimed access to an unmapped, non-lazy address. *)
 
+exception Does_not_fit of string
+(** Raised by {!alloc} when a region would pass the end of the virtual
+    address space, or when an eager region finds no free physical
+    frame; the message says which. *)
+
 val create :
   Vmht_mem.Phys_mem.t ->
   Frame_alloc.t ->
@@ -28,10 +33,8 @@ val page_bytes : t -> int
 val alloc : ?lazy_:bool -> t -> bytes:int -> int
 (** Allocate a fresh page-aligned region and return its base virtual
     address.  Eager regions get frames immediately; lazy regions are
-    registered but unmapped until faulted in. *)
-
-val is_lazy_region : t -> int -> bool
-(** Whether the address belongs to a lazy region (mapped or not). *)
+    registered but unmapped until faulted in.  Raises {!Does_not_fit}
+    when the region does not fit. *)
 
 val handle_fault : t -> vaddr:int -> bool
 (** Demand-paging: if [vaddr] falls in a lazy region and is unmapped,

@@ -31,6 +31,3 @@ let alloc_array aspace ~words ~init =
     Addr_space.store_word aspace (base + (i * word_bytes)) (init i)
   done;
   base
-
-let read_array load ~base ~words =
-  List.init words (fun i -> load (base + (i * word_bytes)))

@@ -35,6 +35,3 @@ val alloc_array :
   Vmht_vm.Addr_space.t -> words:int -> init:(int -> int) -> int
 (** Allocate an eager buffer and initialize word [i] to [init i];
     returns the base virtual address. *)
-
-val read_array : (int -> int) -> base:int -> words:int -> int list
-(** Load a whole buffer through a word reader. *)

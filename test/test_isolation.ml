@@ -208,10 +208,10 @@ let test_physical_memory_exhaustion () =
     { Config.default with Config.phys_bytes = 64 * 1024 (* 16 frames *) }
   in
   let soc = Soc.create config in
-  check_bool "Out_of_frames surfaces" true
+  check_bool "exhaustion surfaces as Does_not_fit" true
     (match Addr_space.alloc (Soc.aspace soc) ~bytes:(1024 * 1024) with
      | _ -> false
-     | exception Vmht_vm.Frame_alloc.Out_of_frames -> true)
+     | exception Addr_space.Does_not_fit _ -> true)
 
 let suite =
   [

@@ -206,6 +206,18 @@ let test_aspace_lazy_faults () =
     (Addr_space.translate aspace base <> None);
   check_int "one lazy page touched" 1 (Addr_space.touched_lazy_pages aspace)
 
+(* make_world's space is 24 bits: a lazy region may end exactly at
+   the limit, and the next allocation, however small, must not fit. *)
+let test_aspace_va_limit () =
+  let _, _, _, aspace = make_world () in
+  let limit = 1 lsl 24 in
+  let base = Addr_space.alloc ~lazy_:true aspace ~bytes:(limit - 4096) in
+  check_int "region ends at the limit" limit (base + limit - 4096);
+  check_bool "alloc past the limit does not fit" true
+    (match Addr_space.alloc ~lazy_:true aspace ~bytes:8 with
+     | _ -> false
+     | exception Addr_space.Does_not_fit _ -> true)
+
 let test_aspace_segfault () =
   let _, _, _, aspace = make_world () in
   check_bool "wild access raises" true
@@ -561,6 +573,7 @@ let suite =
     Alcotest.test_case "aspace: regions disjoint" `Quick
       test_aspace_regions_disjoint;
     Alcotest.test_case "aspace: lazy faults" `Quick test_aspace_lazy_faults;
+    Alcotest.test_case "aspace: va limit" `Quick test_aspace_va_limit;
     Alcotest.test_case "aspace: segfault" `Quick test_aspace_segfault;
     Alcotest.test_case "tlb: hit after insert" `Quick test_tlb_hit_after_insert;
     Alcotest.test_case "tlb: LRU eviction" `Quick test_tlb_lru_eviction;
