@@ -230,16 +230,22 @@ let bench ?(config = Vmht.Config.default) ?(emit = fun _ _ _ -> ()) es =
                    sched.Vmht_ir.Pass_manager.passes) );
           ] );
       ( "pass_stats",
-        Json.List
-          (List.map
-             (fun (pass, runs, rewrites) ->
-               Json.Obj
-                 [
-                   ("pass", Json.String pass);
-                   ("runs", Json.Int runs);
-                   ("rewrites", Json.Int rewrites);
-                 ])
-             (Vmht_ir.Pass_manager.totals ())) );
+        let t = Vmht_ir.Pass_manager.totals () in
+        Json.Obj
+          [
+            ("verify_calls", Json.Int t.verify_calls);
+            ( "per_pass",
+              Json.List
+                (List.map
+                   (fun (s : Vmht_ir.Pass_manager.pass_stat) ->
+                     Json.Obj
+                       [
+                         ("pass", Json.String s.pass);
+                         ("runs", Json.Int s.runs);
+                         ("rewrites", Json.Int s.rewrites);
+                       ])
+                   t.per_pass) );
+          ] );
       ( "vm",
         Vmht_vm.Vm_totals.(
           ints

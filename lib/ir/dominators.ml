@@ -1,6 +1,6 @@
-module Labelset = Set.Make (Int)
-
-type t = { doms : (Ir.label, Labelset.t) Hashtbl.t }
+(* One bitset over block positions per block; a CFG of up to
+   [Sys.int_size] blocks keeps each dominator set in one word. *)
+type t = { cfg : Cfg.t; doms : Bitset.t array }
 
 let compute (f : Ir.func) =
   (* The dataflow runs over the reachable subgraph only: an edge from
@@ -8,63 +8,55 @@ let compute (f : Ir.func) =
      empty the dominator set of its (reachable) target.  Unreachable
      blocks get the singleton {b} — nothing dominates code no path
      executes, and no spurious back edge appears from them. *)
-  let entry_label = (Ir.entry f).Ir.label in
-  let reach = Hashtbl.create 16 in
-  let rec visit l =
-    if not (Hashtbl.mem reach l) then begin
-      Hashtbl.replace reach l ();
-      List.iter visit (Ir.successors (Ir.find_block f l).term)
-    end
+  let cfg = Cfg.of_func f in
+  let n = Array.length cfg.blocks in
+  let reach = Cfg.reachable cfg in
+  let preds = Array.make n [] in
+  Array.iteri
+    (fun p succs ->
+      if reach.(p) then Array.iter (fun s -> preds.(s) <- p :: preds.(s)) succs)
+    cfg.succs;
+  let all = Bitset.create n in
+  Array.iteri (fun i r -> if r then Bitset.add all i) reach;
+  let doms =
+    Array.init n (fun i ->
+        if i > 0 && reach.(i) then Array.copy all
+        else begin
+          let s = Bitset.create n in
+          Bitset.add s i;
+          s
+        end)
   in
-  visit entry_label;
-  let all =
-    List.fold_left
-      (fun acc (b : Ir.block) ->
-        if Hashtbl.mem reach b.label then Labelset.add b.label acc else acc)
-      Labelset.empty f.blocks
-  in
-  let doms = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.block) ->
-      Hashtbl.replace doms b.label
-        (if b.label = entry_label then Labelset.singleton entry_label
-         else if not (Hashtbl.mem reach b.label) then
-           Labelset.singleton b.label
-         else all))
-    f.blocks;
-  let preds = Ir.predecessors f in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun (b : Ir.block) ->
-        if b.label <> entry_label && Hashtbl.mem reach b.label then begin
-          let pred_labels =
-            List.filter (Hashtbl.mem reach)
-              (Option.value ~default:[] (Hashtbl.find_opt preds b.label))
+    for i = 1 to n - 1 do
+      if reach.(i) then begin
+        let d = doms.(i) in
+        for w = 0 to Array.length d - 1 do
+          (* [preds] is non-empty: the block is reachable. *)
+          let meet =
+            List.fold_left (fun m p -> m land doms.(p).(w)) (-1) preds.(i)
           in
           let meet =
-            match pred_labels with
-            | [] -> Labelset.empty (* cannot happen: b is reachable *)
-            | p :: rest ->
-              List.fold_left
-                (fun acc q -> Labelset.inter acc (Hashtbl.find doms q))
-                (Hashtbl.find doms p) rest
+            if w = i / Bitset.word_bits then
+              meet lor (1 lsl (i mod Bitset.word_bits))
+            else meet
           in
-          let updated = Labelset.add b.label meet in
-          if not (Labelset.equal updated (Hashtbl.find doms b.label)) then begin
-            Hashtbl.replace doms b.label updated;
+          if meet <> d.(w) then begin
+            d.(w) <- meet;
             changed := true
           end
-        end)
-      f.blocks
+        done
+      end
+    done
   done;
-  { doms }
+  { cfg; doms }
 
 let dominates t a b =
-  match Hashtbl.find_opt t.doms b with
-  | Some set -> Labelset.mem a set
-  | None -> false
+  match (Cfg.position t.cfg a, Cfg.position t.cfg b) with
+  | -1, _ | _, -1 -> false
+  | a, b -> Bitset.mem t.doms.(b) a
 
 let back_edges (f : Ir.func) t =
   List.concat_map

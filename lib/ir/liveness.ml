@@ -1,77 +1,68 @@
 module Regset = Set.Make (Int)
 
+(* Sets of registers are bitsets over [[0, next_reg)], one per block
+   position; [Regset] values are built only when a caller asks. *)
 type t = {
-  live_in_map : (Ir.label, Regset.t) Hashtbl.t;
-  live_out_map : (Ir.label, Regset.t) Hashtbl.t;
+  cfg : Cfg.t;
+  live_in : Bitset.t array;
+  live_out : Bitset.t array;
 }
 
-let block_use_def (b : Ir.block) =
-  (* [use] = registers read before any write in the block. *)
-  let use, def =
-    List.fold_left
-      (fun (use, def) instr ->
-        let use =
-          List.fold_left
-            (fun use r -> if Regset.mem r def then use else Regset.add r use)
-            use (Ir.uses_of instr)
-        in
-        let def =
-          match Ir.def_of instr with
-          | Some d -> Regset.add d def
-          | None -> def
-        in
-        (use, def))
-      (Regset.empty, Regset.empty)
-      b.instrs
-  in
-  let use =
-    List.fold_left
-      (fun use r -> if Regset.mem r def then use else Regset.add r use)
-      use (Ir.term_uses b.term)
-  in
-  (use, def)
-
 let compute (f : Ir.func) =
-  let live_in_map = Hashtbl.create 16 in
-  let live_out_map = Hashtbl.create 16 in
-  let use_def = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
-      Hashtbl.replace live_in_map b.Ir.label Regset.empty;
-      Hashtbl.replace live_out_map b.Ir.label Regset.empty;
-      Hashtbl.replace use_def b.Ir.label (block_use_def b))
-    f.blocks;
+  let cfg = Cfg.of_func f in
+  let n = Array.length cfg.blocks in
+  let fresh () = Bitset.create f.Ir.next_reg in
+  let use = Array.init n (fun _ -> fresh ()) in
+  let def = Array.init n (fun _ -> fresh ()) in
+  Array.iteri
+    (fun i (b : Ir.block) ->
+      (* [use] = registers read before any write in the block. *)
+      let read r = if not (Bitset.mem def.(i) r) then Bitset.add use.(i) r in
+      List.iter
+        (fun instr ->
+          List.iter read (Ir.uses_of instr);
+          Option.iter (Bitset.add def.(i)) (Ir.def_of instr))
+        b.instrs;
+      List.iter read (Ir.term_uses b.term))
+    cfg.blocks;
+  let live_in = Array.init n (fun _ -> fresh ()) in
+  let live_out = Array.init n (fun _ -> fresh ()) in
+  let words = Array.length (fresh ()) in
   let changed = ref true in
   while !changed do
     changed := false;
     (* Iterate in reverse block order: converges fast for reducible
        CFGs produced by the lowerer. *)
-    List.iter
-      (fun (b : Ir.block) ->
-        let out =
-          List.fold_left
-            (fun acc succ ->
-              Regset.union acc (Hashtbl.find live_in_map succ))
-            Regset.empty
-            (Ir.successors b.term)
-        in
-        let use, def = Hashtbl.find use_def b.label in
-        let inn = Regset.union use (Regset.diff out def) in
-        if not (Regset.equal out (Hashtbl.find live_out_map b.label)) then begin
-          Hashtbl.replace live_out_map b.label out;
+    for i = n - 1 downto 0 do
+      let succs = cfg.succs.(i) in
+      let out = live_out.(i) and inn = live_in.(i) in
+      let use = use.(i) and def = def.(i) in
+      for w = 0 to words - 1 do
+        let o = ref 0 in
+        for k = 0 to Array.length succs - 1 do
+          o := !o lor live_in.(succs.(k)).(w)
+        done;
+        let x = use.(w) lor (!o land lnot def.(w)) in
+        if !o <> out.(w) || x <> inn.(w) then begin
+          out.(w) <- !o;
+          inn.(w) <- x;
           changed := true
-        end;
-        if not (Regset.equal inn (Hashtbl.find live_in_map b.label)) then begin
-          Hashtbl.replace live_in_map b.label inn;
-          changed := true
-        end)
-      (List.rev f.blocks)
+        end
+      done
+    done
   done;
-  { live_in_map; live_out_map }
+  { cfg; live_in; live_out }
 
-let live_in t label = Hashtbl.find t.live_in_map label
+let at sets t label =
+  match Cfg.position t.cfg label with
+  | -1 -> raise Not_found
+  | i -> sets.(i)
 
-let live_out t label = Hashtbl.find t.live_out_map label
+let to_regset s = Bitset.fold Regset.add s Regset.empty
+
+let live_in t label = to_regset (at t.live_in t label)
+
+let live_out t label = to_regset (at t.live_out t label)
 
 let live_after_each t (b : Ir.block) =
   let n = List.length b.instrs in

@@ -5,6 +5,8 @@ module Regset : Set.S with type elt = Ir.reg
 type t
 
 val compute : Ir.func -> t
+(** Registers must lie in [[0, f.next_reg)], as {!Verify} checks;
+    others may raise [Invalid_argument]. *)
 
 val live_in : t -> Ir.label -> Regset.t
 

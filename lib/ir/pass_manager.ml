@@ -61,6 +61,7 @@ type report = {
   instrs_after : int;
   blocks_before : int;
   blocks_after : int;
+  verify_calls : int;
 }
 
 (* Process-wide per-pass totals for the bench manifest.  Guarded by a
@@ -70,8 +71,11 @@ let totals_mutex = Mutex.create ()
 
 let totals_tbl : (string, int * int) Hashtbl.t = Hashtbl.create 16
 
-let account stats =
+let verify_calls_total = ref 0
+
+let account stats verify_calls =
   Mutex.protect totals_mutex (fun () ->
+      verify_calls_total := !verify_calls_total + verify_calls;
       List.iter
         (fun s ->
           let runs0, rw0 =
@@ -80,22 +84,37 @@ let account stats =
           Hashtbl.replace totals_tbl s.pass (runs0 + s.runs, rw0 + s.rewrites))
         stats)
 
+type totals = { per_pass : pass_stat list; verify_calls : int }
+
 let totals () =
   Mutex.protect totals_mutex (fun () ->
-      Hashtbl.fold (fun p (runs, rw) acc -> (p, runs, rw) :: acc) totals_tbl [])
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  |> List.sort compare
+      {
+        per_pass =
+          Hashtbl.fold
+            (fun pass (runs, rewrites) acc -> { pass; runs; rewrites } :: acc)
+            totals_tbl []
+          |> List.sort (fun a b -> compare a.pass b.pass);
+        verify_calls = !verify_calls_total;
+      })
 
 let reset_totals () =
-  Mutex.protect totals_mutex (fun () -> Hashtbl.reset totals_tbl)
+  Mutex.protect totals_mutex (fun () ->
+      Hashtbl.reset totals_tbl;
+      verify_calls_total := 0)
 
 let run ?(verify = true) ?(max_iterations = 20) sched (f : Ir.func) =
   let instrs_before = Ir.instr_count f in
   let blocks_before = Ir.block_count f in
-  (if verify then
-     match Verify.run f with
-     | () -> ()
-     | exception Verify.Error msg -> failwith ("input IR invalid: " ^ msg));
+  let verify_calls = ref 0 in
+  let check on_error =
+    if verify then begin
+      incr verify_calls;
+      match Verify.run f with
+      | () -> ()
+      | exception Verify.Error msg -> failwith (on_error msg)
+    end
+  in
+  check (fun msg -> "input IR invalid: " ^ msg);
   let n = List.length sched.passes in
   let runs = Array.make n 0 in
   let rewrites = Array.make n 0 in
@@ -106,13 +125,8 @@ let run ?(verify = true) ?(max_iterations = 20) sched (f : Ir.func) =
     List.iteri
       (fun i (p : Pass.t) ->
         let c = p.run f in
-        (if verify then
-           match Verify.run f with
-           | () -> ()
-           | exception Verify.Error msg ->
-             failwith
-               (Printf.sprintf "pass %s broke the IR invariants: %s" p.name
-                  msg));
+        check (fun msg ->
+            Printf.sprintf "pass %s broke the IR invariants: %s" p.name msg);
         runs.(i) <- runs.(i) + 1;
         rewrites.(i) <- rewrites.(i) + c;
         round := !round + c)
@@ -126,7 +140,7 @@ let run ?(verify = true) ?(max_iterations = 20) sched (f : Ir.func) =
         { pass = p.name; runs = runs.(i); rewrites = rewrites.(i) })
       sched.passes
   in
-  account stats;
+  account stats !verify_calls;
   {
     schedule_name = sched.sname;
     iterations = !iterations;
@@ -135,6 +149,7 @@ let run ?(verify = true) ?(max_iterations = 20) sched (f : Ir.func) =
     instrs_after = Ir.instr_count f;
     blocks_before;
     blocks_after = Ir.block_count f;
+    verify_calls = !verify_calls;
   }
 
 let optimize ?schedule f =

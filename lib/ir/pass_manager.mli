@@ -46,6 +46,9 @@ type report = {
   instrs_after : int;
   blocks_before : int;
   blocks_after : int;
+  verify_calls : int;
+      (** {!Verify.run} calls: one on the input plus one after every
+          pass application, or 0 with [~verify:false] *)
 }
 
 val run : ?verify:bool -> ?max_iterations:int -> schedule -> Ir.func -> report
@@ -63,11 +66,16 @@ val rewrites : report -> string -> int
 
 val report_to_string : report -> string
 
-val totals : unit -> (string * int * int) list
-(** Process-wide accumulated [(pass, runs, rewrites)] across every
-    {!run} since startup (or {!reset_totals}), sorted by pass name.
+type totals = {
+  per_pass : pass_stat list;  (** sorted by pass name *)
+  verify_calls : int;
+}
+
+val totals : unit -> totals
+(** Process-wide accumulated per-pass runs and rewrites, and verifier
+    calls, across every {!run} since startup (or {!reset_totals}).
     Sums are commutative, so the totals are deterministic under any
-    parallel evaluation order.  Feeds the bench manifest's per-pass
-    statistics. *)
+    parallel evaluation order.  Feeds the bench manifest's
+    [pass_stats]. *)
 
 val reset_totals : unit -> unit

@@ -245,21 +245,10 @@ let dce (f : Ir.func) =
 (* CFG simplification                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let reachable (f : Ir.func) =
-  let seen = Hashtbl.create 16 in
-  let rec visit l =
-    if not (Hashtbl.mem seen l) then begin
-      Hashtbl.replace seen l ();
-      List.iter visit (Ir.successors (Ir.find_block f l).term)
-    end
-  in
-  visit (Ir.entry f).label;
-  seen
-
 let remove_unreachable (f : Ir.func) =
-  let seen = reachable f in
+  let reach = Cfg.reachable (Cfg.of_func f) in
   let before = List.length f.blocks in
-  f.blocks <- List.filter (fun b -> Hashtbl.mem seen b.Ir.label) f.blocks;
+  f.blocks <- List.filteri (fun i _ -> reach.(i)) f.blocks;
   before - List.length f.blocks
 
 (* Redirect edges through empty forwarding blocks (no instructions,

@@ -78,6 +78,14 @@ let test_verify_accepts_lowered () =
   in
   Verify.run f
 
+(* Each rejection is pinned to its exact message: one case per [fail]
+   site in verify.ml except "entry does not dominate", which no CFG can
+   reach (every reachable block is dominated by the entry). *)
+let check_rejects what expected f =
+  match Verify.check f with
+  | Ok () -> Alcotest.fail (what ^ " accepted")
+  | Error msg -> Alcotest.(check string) what expected msg
+
 let test_verify_rejects_undefined_reg () =
   let f = Ir.create_func ~name:"f" ~arg_count:1 ~returns_value:true in
   let r = Ir.fresh_reg f in
@@ -87,23 +95,71 @@ let test_verify_rejects_undefined_reg () =
        [ Ir.Mov (r, Ir.Reg 2) ]
        (Ir.Ret (Some (Ir.Reg r))));
   f.Ir.next_reg <- 3;
-  match Verify.check f with
-  | Ok () -> Alcotest.fail "use of undefined register accepted"
-  | Error _ -> ()
+  check_rejects "use of undefined register"
+    "f: register r2 may be read before it is defined" f
 
 let test_verify_rejects_dangling_target () =
   let f = Ir.create_func ~name:"f" ~arg_count:0 ~returns_value:false in
   ignore (block_with f (Ir.fresh_label f) [] (Ir.Jmp 99));
-  match Verify.check f with
-  | Ok () -> Alcotest.fail "jump to missing block accepted"
-  | Error _ -> ()
+  check_rejects "jump out of label range"
+    "f: block L0: jmp L99: target L99 outside allocator range [0, 1)" f
+
+let test_verify_rejects_missing_block () =
+  let f = Ir.create_func ~name:"f" ~arg_count:0 ~returns_value:false in
+  let l0 = Ir.fresh_label f in
+  let l1 = Ir.fresh_label f in
+  ignore (block_with f l0 [] (Ir.Jmp l1));
+  check_rejects "jump to missing block"
+    "f: block L0: jmp L1: target L1 has no block" f
 
 let test_verify_rejects_ret_arity () =
   let f = Ir.create_func ~name:"f" ~arg_count:0 ~returns_value:true in
   ignore (block_with f (Ir.fresh_label f) [] (Ir.Ret None));
-  match Verify.check f with
-  | Ok () -> Alcotest.fail "bare ret from value-returning function accepted"
-  | Error _ -> ()
+  check_rejects "bare ret from value-returning function"
+    "f: block L0 returns no value from a value function" f
+
+let test_verify_rejects_void_ret_value () =
+  let f = Ir.create_func ~name:"f" ~arg_count:0 ~returns_value:false in
+  ignore (block_with f (Ir.fresh_label f) [] (Ir.Ret (Some (Ir.Imm 1))));
+  check_rejects "value ret from void function"
+    "f: block L0 returns a value from a void function" f
+
+let test_verify_rejects_use_out_of_range () =
+  let f = Ir.create_func ~name:"f" ~arg_count:1 ~returns_value:false in
+  ignore
+    (block_with f (Ir.fresh_label f) [ Ir.Mov (0, Ir.Reg 7) ] (Ir.Ret None));
+  check_rejects "instruction register out of range"
+    "f: block L0: r0 = r7: register r7 outside allocator range [0, 1)" f
+
+let test_verify_rejects_def_out_of_range () =
+  let f = Ir.create_func ~name:"f" ~arg_count:0 ~returns_value:false in
+  ignore
+    (block_with f (Ir.fresh_label f) [ Ir.Mov (4, Ir.Imm 1) ] (Ir.Ret None));
+  check_rejects "defined register out of range"
+    "f: block L0: r4 = 1: defined register r4 outside allocator range [0, 0)" f
+
+let test_verify_rejects_term_reg_out_of_range () =
+  let f = Ir.create_func ~name:"f" ~arg_count:0 ~returns_value:true in
+  ignore (block_with f (Ir.fresh_label f) [] (Ir.Ret (Some (Ir.Reg 3))));
+  check_rejects "terminator register out of range"
+    "f: block L0: ret r3: register r3 outside allocator range [0, 0)" f
+
+let test_verify_rejects_duplicate_label () =
+  let f = Ir.create_func ~name:"f" ~arg_count:0 ~returns_value:false in
+  let l0 = Ir.fresh_label f in
+  ignore (block_with f l0 [] (Ir.Jmp l0));
+  ignore (block_with f l0 [] (Ir.Ret None));
+  check_rejects "duplicate label" "f: duplicate block label L0" f
+
+let test_verify_rejects_label_out_of_range () =
+  let f = Ir.create_func ~name:"f" ~arg_count:0 ~returns_value:false in
+  ignore (block_with f 5 [] (Ir.Ret None));
+  check_rejects "block label out of range"
+    "f: block label L5 outside allocator range [0, 0)" f
+
+let test_verify_rejects_no_blocks () =
+  check_rejects "empty function" "f: function has no blocks"
+    (Ir.create_func ~name:"f" ~arg_count:0 ~returns_value:false)
 
 (* ---------------------- simplify_cfg edge cases -------------------- *)
 
@@ -274,6 +330,42 @@ let test_coalesce_keeps_live_temp () =
   check_int "no fold" 0 (Passes.coalesce f);
   check_bool "2*(x+1)" true (ir_run f ~data:[| 0 |] ~args:[ 4 ] = Some 10)
 
+(* ---------------------- verifier call count ------------------------ *)
+
+(* The verifier runs on the input and after every pass application, and
+   the process-wide totals add up the per-run counts. *)
+let test_verify_calls_counted () =
+  Pass_manager.reset_totals ();
+  let reports =
+    List.map
+      (fun seed ->
+        let f = Lower.lower_kernel (Gen_prog.gen_kernel seed) in
+        Pass_manager.optimize f)
+      [ 1; 2; 3 ]
+  in
+  List.iter
+    (fun (r : Pass_manager.report) ->
+      let runs =
+        List.fold_left (fun a s -> a + s.Pass_manager.runs) 0 r.stats
+      in
+      check_int "1 + runs" (1 + runs) r.Pass_manager.verify_calls)
+    reports;
+  let t = Pass_manager.totals () in
+  check_int "totals"
+    (List.fold_left
+       (fun a (r : Pass_manager.report) -> a + r.verify_calls)
+       0 reports)
+    t.Pass_manager.verify_calls;
+  check_int "totals: runs"
+    (List.fold_left
+       (fun a (r : Pass_manager.report) ->
+         List.fold_left (fun a s -> a + s.Pass_manager.runs) a r.stats)
+       0 reports)
+    (List.fold_left (fun a s -> a + s.Pass_manager.runs) 0 t.per_pass);
+  let f = Lower.lower_kernel (Gen_prog.gen_kernel 4) in
+  check_int "unverified" 0
+    (Pass_manager.run ~verify:false (Pass_manager.o2 ()) f).verify_calls
+
 (* ---------------------- qcheck: differential ----------------------- *)
 
 let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100000)
@@ -349,6 +441,22 @@ let suite =
     Alcotest.test_case "verify: dangling branch target" `Quick
       test_verify_rejects_dangling_target;
     Alcotest.test_case "verify: ret arity" `Quick test_verify_rejects_ret_arity;
+    Alcotest.test_case "verify: missing target block" `Quick
+      test_verify_rejects_missing_block;
+    Alcotest.test_case "verify: void ret value" `Quick
+      test_verify_rejects_void_ret_value;
+    Alcotest.test_case "verify: use out of range" `Quick
+      test_verify_rejects_use_out_of_range;
+    Alcotest.test_case "verify: def out of range" `Quick
+      test_verify_rejects_def_out_of_range;
+    Alcotest.test_case "verify: terminator register out of range" `Quick
+      test_verify_rejects_term_reg_out_of_range;
+    Alcotest.test_case "verify: duplicate label" `Quick
+      test_verify_rejects_duplicate_label;
+    Alcotest.test_case "verify: label out of range" `Quick
+      test_verify_rejects_label_out_of_range;
+    Alcotest.test_case "verify: no blocks" `Quick test_verify_rejects_no_blocks;
+    Alcotest.test_case "verify: calls counted" `Quick test_verify_calls_counted;
     Alcotest.test_case "cfg: unreachable self-loop" `Quick
       test_cfg_unreachable_self_loop;
     Alcotest.test_case "cfg: thread into merged block" `Quick

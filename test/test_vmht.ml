@@ -10,6 +10,7 @@ let () =
       ("ir", Test_ir.suite);
       ("passes", Test_passes.suite);
       ("licm", Test_licm.suite);
+      ("dataflow", Test_dataflow.suite);
       ("hls", Test_hls.suite);
       ("rtl", Test_rtl.suite);
       ("pipeliner", Test_pipeliner.suite);
