@@ -45,8 +45,6 @@ type error =
 
 val error_to_string : error -> string
 
-val store_fault_to_string : store_fault -> string
-
 (** {2 Requests} *)
 
 module Request : sig

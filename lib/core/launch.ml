@@ -47,7 +47,7 @@ let accel_observer soc =
 
 (* The compute phase of a hardware thread, dispatched to the configured
    backend.  [Model] interprets the scheduled FSM directly; [Rtl]
-   parses the emitted Verilog text back and executes the emitted bytes
+   parses the emitted Verilog text back, compiles it once, and executes it
    against the very same [port] — identical translation, banking and
    fault draws — so the two backends are contractually result- and
    cycle-identical (the rtl1 experiment enforces it).  The RTL path
@@ -62,8 +62,8 @@ let exec_thread soc (hw : Flow.hw_thread) ~stats ~port ~args =
       ~ports:(Config.accel_width cfg) ~fastpath:cfg.Config.fastpath
       hw.Flow.fsm ~port ~args
   | Config.Rtl ->
-    let m = Vmht_rtl.Parse.parse_memo hw.Flow.verilog in
-    let out = Vmht_rtl.Eval.run ~stats ~ports:(Config.accel_width cfg) m ~port ~args in
+    let prog = Vmht_rtl.Parse.parse_memo hw.Flow.verilog in
+    let out = Vmht_rtl.Eval.run ~stats ~ports:(Config.accel_width cfg) prog ~port ~args in
     let returns_value =
       List.exists
         (fun (b : Ir.block) ->
@@ -215,6 +215,9 @@ let pin_and_chunk soc buffer =
   in
   Engine.with_phase Profile.Translate (fun () -> go buffer.base [])
 
+(* Pin + translate pages, stage [In]/[InOut] buffers into the
+   scratchpad over DMA, run, drain [Out]/[InOut] buffers, invalidate
+   the CPU cache. *)
 let run_hw_dma soc (hw : Flow.hw_thread) request =
   let t0 = Engine.now_p () in
   let pad, dma = Soc.make_scratchpad soc in

@@ -39,13 +39,6 @@ exception Window_overflow of string
 
 val run_sw : Soc.t -> Vmht_ir.Ir.func -> request -> result
 
-val run_hw_vm : Soc.t -> Flow.hw_thread -> request -> result
-
-val run_hw_dma : Soc.t -> Flow.hw_thread -> request -> result
-(** Pin + translate pages, stage [In]/[InOut] buffers into the
-    scratchpad over DMA, run, drain [Out]/[InOut] buffers, invalidate
-    the CPU cache. *)
-
 val run_hw : Soc.t -> Flow.hw_thread -> request -> result
 (** Dispatch on the thread's wrapper style, with thread-level fault
     recovery: if an injected {!Vmht_fault.Injector.Abort} escapes the

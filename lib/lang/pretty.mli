@@ -3,8 +3,4 @@
 
 val expr_to_string : Ast.expr -> string
 
-val stmt_to_string : ?indent:int -> Ast.stmt -> string
-
-val kernel_to_string : Ast.kernel -> string
-
 val program_to_string : Ast.program -> string

@@ -20,10 +20,6 @@ val check_program : Ast.program -> unit
     argument-type mismatches, calls in expression (non-RHS) position,
     and (mutual) recursion. *)
 
-val expr_type : (string * Ast.typ) list -> Ast.expr -> Ast.typ
-(** Type of an expression in the given variable environment (exposed for
-    the compiler's lowering phase and for tests). *)
-
 val called_names : string list -> Ast.stmt list -> string list
 (** Kernel names called anywhere in a statement list, prepended to the
     accumulator (exposed for the inliner). *)

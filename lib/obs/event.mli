@@ -65,8 +65,6 @@ val label : kind -> string
 val args : kind -> (string * Json.t) list
 (** The payload as JSON fields (the Chrome-trace ["args"] object). *)
 
-val mem_op_name : mem_op -> string
-
 val kind_to_string : kind -> string
 
 val to_string : t -> string

@@ -12,8 +12,6 @@
 
 type t
 
-val n_buckets : int
-
 val create : unit -> t
 
 val reset : t -> unit

@@ -18,10 +18,6 @@ val n_phases : int
 
 val phase_index : phase -> int
 
-val phase_name : phase -> string
-
-val all_phases : phase list
-
 type totals = {
   cycles : int array;  (** per phase, indexed by {!phase_index}; exact *)
   host_ns : float array;  (** per phase; sampled, approximate *)

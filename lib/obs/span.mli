@@ -42,12 +42,7 @@ val current_span_id : unit -> int option
 val set_tid : int -> unit
 (** Fix this domain's thread id for all subsequent spans. *)
 
-val current_tid : unit -> int
-
 val spans : unit -> t list
 (** Every completed span, sorted by begin order. *)
 
 val reset : unit -> unit
-
-val now_ns : unit -> int
-(** Wall clock in integer nanoseconds. *)

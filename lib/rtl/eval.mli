@@ -1,6 +1,6 @@
 (** Clocked evaluator for parsed emitted modules.
 
-    Executes an {!Ast.t} edge by edge against the same
+    Compiles an {!Ast.t} once ({!compile}) and executes it edge by edge against the same
     {!Vmht_hls.Accel.port} memory interface the model-level executor
     uses, so translation, banking, and fault draws are shared between
     backends and any divergence is the emitter's.
@@ -35,19 +35,36 @@ type outcome = {
   edges : int;  (** clock edges evaluated *)
 }
 
+type program
+(** A module compiled for execution: every register, port, [argN] and
+    localparam resolved to a slot of an [int] register file with a
+    known/X/undefined tag, each expression a closure with its operator
+    and signedness fixed, case arms indexed by state value, and each
+    channel's [req/we/addr/wdata/ack/rdata] slots precomputed.
+    Immutable, so one program may run in many domains at once. *)
+
+val compile : Ast.t -> program
+(** Compile a parsed module.  Never raises: a module that cannot run
+    (a case label that is not a localparam, a missing [S_IDLE]/[S_DONE],
+    an unrecognized channel prefix) compiles to a program whose {!run}
+    raises the error, and expression-level failures (unknown
+    identifiers, unsupported concatenations, assignments to
+    non-registers) are raised only if the offending code executes. *)
+
 val run :
   ?stats:Vmht_hls.Accel.run_stats ->
   ?ports:int ->
   ?max_edges:int ->
-  Ast.t ->
+  program ->
   port:Vmht_hls.Accel.port ->
   args:int list ->
   outcome
-(** Run a parsed module to [done].  [stats] accumulates
+(** Run a compiled module to [done].  [stats] accumulates
     loads/stores/fsm_cycles with the model's meanings; [ports] is the
     same-cycle memory lane width (default 1); [max_edges] bounds the
     run (default 50M edges) so emitter bugs that deadlock or spin the
     FSM fail loudly instead of hanging.  Raises {!Rtl_error} on
     protocol or X violations, [Invalid_argument] on an argument-count
     mismatch, and lets port-side exceptions (faults, aborts) pass
-    through unchanged. *)
+    through unchanged.  An unrecognized channel prefix is raised before
+    the argument count is checked; the module's other errors after. *)

@@ -436,11 +436,11 @@ let parse_module src =
     arms;
   }
 
-(* One emitted text parses to one structure; the flow memoizes
+(* One emitted text compiles to one program; the flow memoizes
    [hw_thread]s process-wide, so the same verilog string is executed
-   many times — cache the parse under the same kind of lock
-   discipline. *)
-let memo : (string, Ast.t) Hashtbl.t = Hashtbl.create 16
+   many times — cache the compiled program (not the AST, which only
+   compiling needs) under the same kind of lock discipline. *)
+let memo : (string, Eval.program) Hashtbl.t = Hashtbl.create 16
 
 let memo_mutex = Mutex.create ()
 
@@ -449,10 +449,16 @@ let parse_memo src =
   let hit = Hashtbl.find_opt memo src in
   Mutex.unlock memo_mutex;
   match hit with
-  | Some m -> m
+  | Some p -> p
   | None ->
-    let m = parse_module src in
+    let p = Eval.compile (parse_module src) in
     Mutex.lock memo_mutex;
-    if not (Hashtbl.mem memo src) then Hashtbl.add memo src m;
+    let p =
+      match Hashtbl.find_opt memo src with
+      | Some q -> q
+      | None ->
+        Hashtbl.add memo src p;
+        p
+    in
     Mutex.unlock memo_mutex;
-    m
+    p

@@ -21,7 +21,10 @@ val parse_module : string -> Ast.t
 (** Parse an emitted module.  Raises {!Parse_error} on anything
     outside the emitted subset. *)
 
-val parse_memo : string -> Ast.t
-(** {!parse_module} behind a process-wide memo keyed on the exact
-    text — the synthesis flow memoizes [hw_thread]s, so the same
-    emitted string is executed many times.  Thread-safe. *)
+val parse_memo : string -> Eval.program
+(** {!parse_module} then {!Eval.compile}, behind a process-wide memo
+    keyed on the exact text — the synthesis flow memoizes [hw_thread]s,
+    so the same emitted string is executed many times.  Only the
+    program is kept, not the AST.  Raises {!Parse_error} like
+    {!parse_module}; every call with the same text returns the same
+    (physically equal) program.  Thread-safe. *)

@@ -1,5 +1,7 @@
 module Flow = Vmht.Flow
 
+(* First line of every entry; bump on any layout change so old caches
+   read as version-mismatch misses, not corruption. *)
 let format_version = "vmht-store/1"
 
 type t = {
@@ -19,6 +21,8 @@ type stats = {
   version_skew : int;
 }
 
+(* [$VMHT_STORE_DIR], else [$XDG_CACHE_HOME/vmht/store], else
+   [$HOME/.cache/vmht/store], else [_vmht_store] in the cwd. *)
 let default_dir () =
   match Sys.getenv_opt "VMHT_STORE_DIR" with
   | Some d when d <> "" -> d

@@ -16,17 +16,10 @@
 
 type t
 
-val format_version : string
-(** First line of every entry ([vmht-store/1]); bump on any layout
-    change so old caches read as version-mismatch misses, not
-    corruption. *)
-
-val default_dir : unit -> string
-(** [$VMHT_STORE_DIR], else [$XDG_CACHE_HOME/vmht/store], else
-    [$HOME/.cache/vmht/store], else [_vmht_store] in the cwd. *)
-
 val open_ : ?dir:string -> unit -> (t, Vmht.Flow.error) result
-(** Create [dir] (and parents) if needed and probe writability.
+(** Create [dir] (and parents) if needed and probe writability.  [dir]
+    defaults to [$VMHT_STORE_DIR], else [$XDG_CACHE_HOME/vmht/store],
+    else [$HOME/.cache/vmht/store], else [_vmht_store] in the cwd.
     [Error (Store_error { fault = Store_unwritable _; _ })] if the
     directory cannot be created or written. *)
 
@@ -77,7 +70,7 @@ type stats = {
   misses : int;  (** absent entries and kernel-collision rejects *)
   saves : int;
   corrupt : int;  (** checksum / truncation / unmarshal failures *)
-  version_skew : int;  (** entries from another {!format_version} *)
+  version_skew : int;  (** entries from another store format version *)
 }
 
 val stats : t -> stats

@@ -1,5 +1,7 @@
 module Flow = Vmht.Flow
 
+(* The deterministic projection of a synthesis result (drops the
+   wall-clock [synthesis_seconds] and the process-local rest). *)
 let synthesized_outcome (hw : Flow.hw_thread) =
   Proto.Synthesized
     {

@@ -12,10 +12,6 @@
 val default_handle : Proto.request -> Proto.outcome
 (** [Synthesize] via {!Vmht.Flow.run}; [Failed] for [Execute]. *)
 
-val synthesized_outcome : Vmht.Flow.hw_thread -> Proto.outcome
-(** The deterministic projection of a synthesis result (drops the
-    wall-clock [synthesis_seconds] and the process-local rest). *)
-
 val loop :
   handle:(Proto.request -> Proto.outcome) ->
   in_fd:Unix.file_descr ->

@@ -41,13 +41,13 @@ let replace ~sub ~by text =
 
 (* Run parsed RTL inside a private engine, like the model-executor
    tests do for [Accel.run]. *)
-let eval_run ?(ports = 1) text ~port ~args =
-  let m = Parse.parse_module text in
+let eval_run ?(ports = 1) ?max_edges text ~port ~args =
+  let prog = Eval.compile (Parse.parse_module text) in
   let eng = Engine.create () in
   let out = ref None in
   let stats = Accel.fresh_stats () in
   Engine.spawn eng ~name:"rtl" (fun () ->
-      out := Some (Eval.run ~stats ~ports m ~port ~args));
+      out := Some (Eval.run ~stats ~ports ?max_edges prog ~port ~args));
   Engine.run eng;
   (Option.get !out, stats)
 
@@ -91,8 +91,8 @@ let test_parse_all_workloads () =
             true
             (List.mem_assoc "S_IDLE" m.Vmht_rtl.Ast.params
             && List.mem_assoc "S_DONE" m.Vmht_rtl.Ast.params);
-          (* The memo must hand back the same parse. *)
-          check_bool "memoized parse" true
+          (* The memo must hand back the same compiled program. *)
+          check_bool "memoized program" true
             (Parse.parse_memo hw.Flow.verilog
             == Parse.parse_memo hw.Flow.verilog))
         [ Vmht.Wrapper.Vm_iface; Vmht.Wrapper.Dma_iface ])

@@ -13,6 +13,7 @@ let () =
       ("dataflow", Test_dataflow.suite);
       ("hls", Test_hls.suite);
       ("rtl", Test_rtl.suite);
+      ("rtl-eval", Test_rtl_eval.suite);
       ("pipeliner", Test_pipeliner.suite);
       ("mem", Test_mem.suite);
       ("vm", Test_vm.suite);
