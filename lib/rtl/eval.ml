@@ -235,18 +235,23 @@ let rec count_assigns stmts =
    binder assigns units greedily in instruction order), so servicing
    channels by index reproduces the model's access order exactly. *)
 let channel_index prefix =
-  if prefix = "mem" then 0
-  else
-    match int_of_string_opt (String.sub prefix 3 (String.length prefix - 3)) with
-    | Some n when String.length prefix > 3 && String.sub prefix 0 3 = "mem" ->
-      n
-    | _ -> fail "unrecognized channel prefix %S" prefix
+  let index =
+    if prefix = "mem" then Some 0
+    else if String.starts_with ~prefix:"mem" prefix then
+      int_of_string_opt (String.sub prefix 3 (String.length prefix - 3))
+    else None
+  in
+  match index with
+  | Some n -> n
+  | None -> fail "unrecognized channel prefix %S" prefix
 
 let has_suffix s suffix =
   let n = String.length s and k = String.length suffix in
   n > k && String.sub s (n - k) k = suffix
 
-(* Channel prefixes in service order. *)
+(* Channel prefixes in service order.  Every prefix is indexed (and so
+   validated) once before sorting: a lone channel must be rejected just
+   as one beside [mem] is. *)
 let discover_channels (m : Ast.t) =
   let has name dir =
     List.exists
@@ -263,7 +268,9 @@ let discover_channels (m : Ast.t) =
         if has (prefix ^ "_ack") Ast.Input then Some prefix else None
       | _ -> None)
     m.Ast.ports
-  |> List.sort (fun a b -> compare (channel_index a) (channel_index b))
+  |> List.map (fun prefix -> (channel_index prefix, prefix))
+  |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
 
 type chan_slots = {
   prefix : string;
@@ -372,7 +379,6 @@ let compile (m : Ast.t) : program =
           prefixes,
         None )
     | exception (Rtl_error _ as e) -> ([], Some e)
-    | exception (Invalid_argument _ as e) -> ([], Some e)
   in
   (* The kernel arguments bind to the argN input ports. *)
   let n_args =

@@ -38,17 +38,14 @@ type t = {
   mutable batch_len : int;
   fastpath : bool;
   mutable horizon : time; (* [run ?until] bound; fast-forward never crosses *)
-  mutable ff_active : bool; (* a fast-forward trampoline is on the stack *)
-  mutable ff_pending : (unit -> unit) option; (* deferred resume for it *)
+  mutable running : bool; (* one of this engine's processes is executing *)
 }
 
 type phase = Vmht_obs.Profile.phase
 
 type _ Effect.t +=
-  | Wait : t * int -> unit Effect.t
-  | Suspend : t * ((unit -> unit) -> unit) -> unit Effect.t
-  | Fork : t * string * (unit -> unit) -> unit Effect.t
-  | Now_eff : t -> time Effect.t
+  | Wait : int -> unit Effect.t
+  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
 (* The engine a running process belongs to.  Set for the dynamic extent
    of each event dispatch; within one domain processes run one at a
@@ -84,8 +81,7 @@ let create ?(fastpath = true) () =
     batch_len = 0;
     fastpath;
     horizon = max_int;
-    ff_active = false;
-    ff_pending = None;
+    running = false;
   }
 
 let now t = t.now
@@ -115,86 +111,45 @@ let with_phase ph f =
     Fun.protect ~finally:(fun () -> p.cur_phase <- saved) f
   | _ -> f ()
 
+(* [running] is set for exactly the stretches in which one of this
+   engine's processes executes: from the start of its body or the resume
+   of its continuation until the handler parks it or it returns.  The
+   process-context operations check it, so a plain [schedule] callback
+   gets [Not_in_process] rather than an unhandled effect. *)
+let resume t k =
+  t.running <- true;
+  Effect.Deep.continue k ()
+
 let rec exec_process t fn =
   let open Effect.Deep in
+  t.running <- true;
   match_with fn ()
     {
-      retc = (fun () -> ());
-      exnc = (fun e -> raise e);
+      retc = (fun () -> t.running <- false);
+      exnc =
+        (fun e ->
+          t.running <- false;
+          raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Wait (_, n) ->
+          | Wait n ->
             Some
               (fun (k : (a, _) continuation) ->
-                let target = t.now + n in
-                (* Single-runnable fast path: when no queued event can
-                   run at or before [target] (strict compare — an event
-                   tied at [target] carries a smaller sequence number
-                   and must dispatch first) and [target] does not cross
-                   the run horizon, advancing the clock directly is
-                   observationally identical to a heap round-trip.
-                   Profile charging is replicated inline: the advance is
-                   charged to the phase current at the perform point,
-                   exactly what [schedule]'s wrapper would have done. *)
-                if
-                  t.fastpath && target <= t.horizon
-                  && (Event_queue.is_empty t.queue
-                     || Event_queue.min_time_exn t.queue > target)
-                then begin
-                  (match t.profile with
-                  | Some p ->
-                    let dt = target - p.charged_upto in
-                    if dt > 0 then
-                      p.cycles.(p.cur_phase) <- p.cycles.(p.cur_phase) + dt;
-                    p.charged_upto <- target
-                  | None -> ());
-                  t.now <- target;
-                  t.fast_forwards <- t.fast_forwards + 1;
-                  (* Resuming here would nest one handler frame per
-                     fast-forwarded wait and overflow the stack on long
-                     chains, so only the outermost fast-forward drives
-                     the resume; inner ones hand theirs to it. *)
-                  if t.ff_active then
-                    t.ff_pending <- Some (fun () -> continue k ())
-                  else begin
-                    t.ff_active <- true;
-                    Fun.protect
-                      ~finally:(fun () -> t.ff_active <- false)
-                      (fun () ->
-                        continue k ();
-                        let rec drain () =
-                          match t.ff_pending with
-                          | Some f ->
-                            t.ff_pending <- None;
-                            f ();
-                            drain ()
-                          | None -> ()
-                        in
-                        drain ())
-                  end
-                end
-                else schedule t ~at:target (fun () -> continue k ()))
-          | Suspend (_, register) ->
+                t.running <- false;
+                schedule t ~at:(t.now + n) (fun () -> resume t k))
+          | Suspend register ->
             Some
               (fun (k : (a, _) continuation) ->
+                t.running <- false;
                 t.suspended <- t.suspended + 1;
                 let resumed = ref false in
-                let resume () =
-                  if !resumed then
-                    invalid_arg "Engine.suspend: process resumed twice";
-                  resumed := true;
-                  t.suspended <- t.suspended - 1;
-                  schedule t ~at:t.now (fun () -> continue k ())
-                in
-                register resume)
-          | Fork (_, name, f) ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                spawn t ~name f;
-                continue k ())
-          | Now_eff _ ->
-            Some (fun (k : (a, _) continuation) -> continue k t.now)
+                register (fun () ->
+                    if !resumed then
+                      invalid_arg "Engine.suspend: process resumed twice";
+                    resumed := true;
+                    t.suspended <- t.suspended - 1;
+                    schedule t ~at:t.now (fun () -> resume t k)))
           | _ -> None);
     }
 
@@ -286,25 +241,48 @@ let events_executed t = t.executed
 
 let fast_forwards t = t.fast_forwards
 
-let engine_of_context () =
-  match Domain.DLS.get current with None -> raise Not_in_process | Some t -> t
+let process_engine () =
+  match Domain.DLS.get current with
+  | Some t when t.running -> t
+  | _ -> raise Not_in_process
 
 let wait n =
   assert (n >= 0);
-  let t = engine_of_context () in
-  if n = 0 then () else Effect.perform (Wait (t, n))
+  let t = process_engine () in
+  if n > 0 then begin
+    let target = t.now + n in
+    (* Single-runnable fast path, decided before any effect: when no
+       queued event can run at or before [target] (strict compare — an
+       event tied at [target] carries a smaller sequence number and must
+       dispatch first) and [target] does not cross the run horizon,
+       advancing the clock in place is observationally identical to a
+       heap round-trip.  The profile charge is the one [schedule]'s
+       wrapper would have made: the advance goes to the phase current
+       here. *)
+    if
+      t.fastpath && target <= t.horizon
+      && (Event_queue.is_empty t.queue
+         || Event_queue.min_time_exn t.queue > target)
+    then begin
+      (match t.profile with
+      | Some p ->
+        let dt = target - p.charged_upto in
+        if dt > 0 then p.cycles.(p.cur_phase) <- p.cycles.(p.cur_phase) + dt;
+        p.charged_upto <- target
+      | None -> ());
+      t.now <- target;
+      t.fast_forwards <- t.fast_forwards + 1
+    end
+    else Effect.perform (Wait n)
+  end
 
-let now_p () =
-  let t = engine_of_context () in
-  Effect.perform (Now_eff t)
+let now_p () = (process_engine ()).now
 
 let suspend register =
-  let t = engine_of_context () in
-  Effect.perform (Suspend (t, register))
+  ignore (process_engine ());
+  Effect.perform (Suspend register)
 
-let fork ~name fn =
-  let t = engine_of_context () in
-  Effect.perform (Fork (t, name, fn))
+let fork ~name fn = spawn (process_engine ()) ~name fn
 
 (* Fork every thunk as a child at the current time and park the caller
    until the last one finishes.  The children run in list order (the

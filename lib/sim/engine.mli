@@ -8,8 +8,8 @@
 
     The process-context operations ({!wait}, {!suspend}, {!fork},
     {!now_p}) may only be called from inside a process started by
-    {!spawn} or {!fork}; calling them elsewhere raises
-    [Not_in_process]. *)
+    {!spawn} or {!fork}; calling them elsewhere — including from a
+    {!schedule} callback — raises [Not_in_process]. *)
 
 type t
 
@@ -17,7 +17,8 @@ type time = int
 (** Simulated time in clock cycles of the (single) fabric clock. *)
 
 exception Not_in_process
-(** Raised when a process-context operation is used outside [run]. *)
+(** Raised when a process-context operation is used outside a process:
+    outside [run], or in a plain {!schedule} callback. *)
 
 exception Stuck of string
 (** Raised by {!run} when [check_quiescent] is set and processes remain
@@ -26,11 +27,13 @@ exception Stuck of string
 val create : ?fastpath:bool -> unit -> t
 (** [fastpath] (default [true]) enables the single-runnable wait fast
     path: when the event queue holds no event at or before the target
-    time of a {!wait}, the clock is advanced directly and the process
-    resumed in place instead of round-tripping the heap.  The schedule
-    produced is observationally identical — cycle counts, event order
-    and profile attribution do not change — only the heap traffic and
-    dispatch count do. *)
+    time of a {!wait} and the target is within the [run ~until]
+    horizon, {!wait} advances the clock itself and returns, without
+    performing an effect or capturing a continuation; only a wait that
+    really blocks round-trips the heap.  The schedule produced is
+    observationally identical — cycle counts, event order and profile
+    attribution do not change — only the heap traffic and dispatch
+    count do. *)
 
 val now : t -> time
 (** Current simulated time (usable from any context). *)

@@ -167,12 +167,15 @@ type chan = {
    binder assigns units greedily in instruction order), so servicing
    channels by index reproduces the model's access order exactly. *)
 let channel_index prefix =
-  if prefix = "mem" then 0
-  else
-    match int_of_string_opt (String.sub prefix 3 (String.length prefix - 3)) with
-    | Some n when String.length prefix > 3 && String.sub prefix 0 3 = "mem" ->
-      n
-    | _ -> fail "unrecognized channel prefix %S" prefix
+  let index =
+    if prefix = "mem" then Some 0
+    else if String.starts_with ~prefix:"mem" prefix then
+      int_of_string_opt (String.sub prefix 3 (String.length prefix - 3))
+    else None
+  in
+  match index with
+  | Some n -> n
+  | None -> fail "unrecognized channel prefix %S" prefix
 
 let discover_channels (m : Ast.t) =
   let has name dir =
@@ -205,8 +208,9 @@ let discover_channels (m : Ast.t) =
         else None
       | _ -> None)
     m.Ast.ports
-  |> List.sort (fun a b ->
-         compare (channel_index a.prefix) (channel_index b.prefix))
+  |> List.map (fun c -> (channel_index c.prefix, c))
+  |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
 
 (* ----------------------------- run --------------------------------- *)
 

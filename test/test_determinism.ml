@@ -224,12 +224,15 @@ let test_cache_concurrent_single_flight () =
    blocks, translation memo) is a host-time optimization only: a run
    must be observably identical with it on and off — same final
    cycles, same return value, same memory image — for any kernel,
-   configuration, data seed and fault rate.  Nonzero fault rates are
-   the de-optimization witness: every injector draw happens in an
-   unfused memory cycle, so injected faults land at the same cycle
-   either way. *)
+   execution style, configuration, data seed and fault rate.  Each
+   style exercises its own users of the engine: [Sw] the CPU, its L1
+   and demand paging, [Vm] the accelerator behind the MMU, [Dma] the
+   staging copies and bursts around the scratchpad.  Nonzero fault
+   rates are the de-optimization witness: every injector draw happens
+   in an unfused memory cycle, so injected faults land at the same
+   cycle either way. *)
 
-let fuzz_vm_observe ~fastpath ~tlb_entries ~rate ~seed kernel =
+let fuzz_observe ~fastpath ~mode ~tlb_entries ~rate ~seed kernel =
   let config =
     Vmht.Config.with_tlb_entries Vmht.Config.default tlb_entries
   in
@@ -248,15 +251,30 @@ let fuzz_vm_observe ~fastpath ~tlb_entries ~rate ~seed kernel =
   for i = 0 to Gen_prog.mem_words - 1 do
     Vmht_vm.Addr_space.store_word aspace (base + (i * 8)) ((i * 37) mod 101)
   done;
-  let hw = Flow.run_exn
-    (Flow.Request.of_kernel ~config ~style:Vmht.Wrapper.Vm_iface kernel) in
+  let request =
+    {
+      Vmht.Launch.args = [ base; seed mod 11; seed mod 7 ];
+      buffers =
+        [
+          {
+            Vmht.Launch.base;
+            words = Gen_prog.mem_words;
+            dir = Vmht.Launch.InOut;
+          };
+        ];
+    }
+  in
+  let hw style =
+    Flow.run_exn (Flow.Request.of_kernel ~config ~style kernel)
+  in
   let result =
     Vmht.Launch.run_to_completion soc (fun () ->
-        Vmht.Launch.run_hw soc hw
-          {
-            Vmht.Launch.args = [ base; seed mod 11; seed mod 7 ];
-            buffers = [];
-          })
+        match mode with
+        | Common.Sw ->
+          Vmht.Launch.run_sw soc (Flow.compile_sw config kernel) request
+        | Common.Vm -> Vmht.Launch.run_hw soc (hw Vmht.Wrapper.Vm_iface) request
+        | Common.Dma ->
+          Vmht.Launch.run_hw soc (hw Vmht.Wrapper.Dma_iface) request)
   in
   let mem =
     List.init Gen_prog.mem_words (fun i ->
@@ -266,30 +284,26 @@ let fuzz_vm_observe ~fastpath ~tlb_entries ~rate ~seed kernel =
 
 let arb_fastpath_case =
   QCheck.make
-    ~print:(fun (seed, tlb_entries, rate, cfg_seed) ->
-      Printf.sprintf "(kernel seed %d, tlb=%d, fault rate %.3f, seed %d)"
-        seed tlb_entries rate cfg_seed)
+    ~print:(fun ((seed, mode), tlb_entries, rate, cfg_seed) ->
+      Printf.sprintf "(kernel seed %d, %s, tlb=%d, fault rate %.3f, seed %d)"
+        seed (Common.mode_name mode) tlb_entries rate cfg_seed)
     QCheck.Gen.(
-      quad (0 -- 20000)
+      quad
+        (pair (0 -- 20000) (oneofl [ Common.Sw; Common.Vm; Common.Dma ]))
         (oneofl [ 4; 8; 16 ])
         (oneofl [ 0.; 0.005; 0.02 ])
         (oneofl [ 1; 7; 42 ]))
 
 let prop_fastpath_differential =
-  QCheck.Test.make ~count:30
+  QCheck.Test.make ~count:45
     ~name:"fastpath on = fastpath off (cycles, ret, memory; incl. faults)"
     arb_fastpath_case
-    (fun (seed, tlb_entries, rate, cfg_seed) ->
+    (fun ((seed, mode), tlb_entries, rate, cfg_seed) ->
       let kernel = Gen_prog.gen_kernel seed in
-      let on =
-        fuzz_vm_observe ~fastpath:true ~tlb_entries ~rate ~seed:cfg_seed
-          kernel
+      let observe fastpath =
+        fuzz_observe ~fastpath ~mode ~tlb_entries ~rate ~seed:cfg_seed kernel
       in
-      let off =
-        fuzz_vm_observe ~fastpath:false ~tlb_entries ~rate ~seed:cfg_seed
-          kernel
-      in
-      on = off)
+      observe true = observe false)
 
 let suite =
   [

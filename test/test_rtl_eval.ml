@@ -158,6 +158,19 @@ let test_module_errors () =
     {|unrecognized channel prefix "bus"|};
   expect_rtl_error ~args:[ 1; 2 ] "channel prefix is checked before arg count"
     bad_prefix {|unrecognized channel prefix "bus"|};
+  (* A lone channel is validated too, not only one the sort compares —
+     by the reference as well. *)
+  let lone = replace_all ~sub:"mem_" ~by:"bus_" loads in
+  expect_rtl_error "lone unrecognized channel prefix" lone
+    {|unrecognized channel prefix "bus"|};
+  Alcotest.check_raises "lone unrecognized channel prefix (reference)"
+    (Eval.Rtl_error {|unrecognized channel prefix "bus"|}) (fun () ->
+      ignore
+        (Rtl_ref_eval.run (Parse.parse_module lone)
+           ~port:(untimed_of [| 5; 9 |]) ~args:[ 7 ]));
+  expect_rtl_error "short channel prefix"
+    (replace_all ~sub:"mem_" ~by:"b_" loads)
+    {|unrecognized channel prefix "b"|};
   expect_invalid_arg ~args:[] "arg count" loads
     "Rtl.Eval.run: ht_two_loads expects 1 args, got 0"
 

@@ -146,7 +146,24 @@ let test_not_in_process () =
   check_bool "wait outside process raises" true
     (match Engine.wait 1 with
      | () -> false
-     | exception Engine.Not_in_process -> true)
+     | exception Engine.Not_in_process -> true);
+  (* A plain [schedule] callback runs inside [run] but is no process:
+     each process-context operation raises there too, not an unhandled
+     effect. *)
+  List.iter
+    (fun (name, op) ->
+      let eng = Engine.create () in
+      Engine.schedule eng ~at:3 op;
+      check_bool (name ^ " in a schedule callback raises") true
+        (match Engine.run eng with
+         | () -> false
+         | exception Engine.Not_in_process -> true))
+    [
+      ("wait", fun () -> Engine.wait 1);
+      ("now_p", fun () -> ignore (Engine.now_p ()));
+      ("suspend", fun () -> Engine.suspend ignore);
+      ("fork", fun () -> Engine.fork ~name:"child" ignore);
+    ]
 
 let test_determinism () =
   let run_once () =
@@ -161,6 +178,121 @@ let test_determinism () =
     Buffer.contents log
   in
   Alcotest.(check string) "identical runs" (run_once ()) (run_once ())
+
+(* A million consecutive fast-forwarded waits advance the clock in
+   place — no event is dispatched for them — and run to completion
+   without exhausting the stack. *)
+let test_fast_forward_chain () =
+  let eng = Engine.create () in
+  let n = 1_000_000 in
+  Engine.spawn eng ~name:"chain" (fun () ->
+      for _ = 1 to n do
+        Engine.wait 1
+      done);
+  Engine.run eng;
+  check_int "now" n (Engine.now eng);
+  check_int "every wait fast-forwarded" n (Engine.fast_forwards eng);
+  check_int "only the spawn dispatched" 1 (Engine.events_executed eng)
+
+(* Engine-level differential: random process programs give the same
+   (pid, now) log, time at the end of each [run ~until] slice, final
+   time and total work with the fast path on and off. *)
+type op =
+  | Wait of int
+  | Fork of op list
+  | Park (* suspend until some process performs a Wake *)
+  | Wake (* resume the longest-parked process, if any *)
+  | Use of int (* hold the shared resource for n cycles *)
+
+let rec show_op = function
+  | Wait n -> Printf.sprintf "wait %d" n
+  | Fork ops -> "fork [" ^ show_ops ops ^ "]"
+  | Park -> "park"
+  | Wake -> "wake"
+  | Use n -> Printf.sprintf "use %d" n
+
+and show_ops ops = String.concat "; " (List.map show_op ops)
+
+let gen_ops =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        ( 5,
+          map (fun n -> Wait n) (oneof [ return 0; int_bound 3; int_bound 40 ])
+        );
+        (1, return Park);
+        (2, return Wake);
+        (2, map (fun n -> Use n) (int_bound 6));
+      ]
+  in
+  fix
+    (fun self depth ->
+      let op =
+        if depth = 0 then leaf
+        else
+          frequency [ (6, leaf); (1, map (fun l -> Fork l) (self (depth - 1))) ]
+      in
+      list_size (int_range 1 8) op)
+    3
+
+let arb_program =
+  QCheck.make
+    ~print:(fun (roots, slices) ->
+      Printf.sprintf "roots: %s; slices: %s"
+        (String.concat " | " (List.map show_ops roots))
+        (String.concat "," (List.map string_of_int slices)))
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 4) gen_ops)
+        (list_size (int_bound 4) (int_bound 30)))
+
+let exec_program ~fastpath (roots, slices) =
+  let eng = Engine.create ~fastpath () in
+  let bus = Resource.create ~name:"bus" in
+  let parked = Queue.create () in
+  let log = ref [] in
+  let next_pid = ref 0 in
+  let body ops () =
+    let pid = !next_pid in
+    incr next_pid;
+    let rec go ops =
+      List.iter
+        (fun op ->
+          (match op with
+          | Wait n -> Engine.wait n
+          | Fork child -> Engine.fork ~name:"child" (fun () -> go child)
+          | Park -> Engine.suspend (fun resume -> Queue.add resume parked)
+          | Wake ->
+            Option.iter (fun resume -> resume ()) (Queue.take_opt parked)
+          | Use n -> Resource.use bus ~cycles:n);
+          log := (pid, Engine.now_p ()) :: !log)
+        ops
+    in
+    go ops
+  in
+  List.iter (fun ops -> Engine.spawn eng ~name:"root" (body ops)) roots;
+  let until = ref 0 in
+  let slice_ends =
+    List.map
+      (fun step ->
+        until := !until + step;
+        Engine.run ~until:!until eng;
+        Engine.now eng)
+      slices
+  in
+  Engine.run eng;
+  ( List.rev !log,
+    slice_ends,
+    Engine.now eng,
+    Engine.events_executed eng + Engine.fast_forwards eng )
+
+let prop_engine_fastpath_differential =
+  QCheck.Test.make ~count:300
+    ~name:"engine: fastpath on = off (log, now, work; until slices)"
+    arb_program
+    (fun prog ->
+      exec_program ~fastpath:true prog = exec_program ~fastpath:false prog)
 
 (* --------------------- Resource ----------------------------------- *)
 
@@ -265,6 +397,9 @@ let suite =
     Alcotest.test_case "engine: stuck detection" `Quick test_stuck_detection;
     Alcotest.test_case "engine: not in process" `Quick test_not_in_process;
     Alcotest.test_case "engine: deterministic" `Quick test_determinism;
+    Alcotest.test_case "engine: fast-forward chain" `Quick
+      test_fast_forward_chain;
+    QCheck_alcotest.to_alcotest prop_engine_fastpath_differential;
     Alcotest.test_case "resource: serializes FIFO" `Quick test_resource_serializes;
     Alcotest.test_case "resource: stats" `Quick test_resource_stats;
     Alcotest.test_case "resource: utilization" `Quick test_resource_utilization;
